@@ -22,12 +22,19 @@ import numpy as np
 from .core import (
     GaussianPacketSpec,
     ParticleSpec,
+    SpatialGrid,
     free_sigma_x,
     gaussian_free_state,
 )
 from .detector import DetectorSpec, RectangularProfile
 from .exceptions import ConfigError, NoDetectionError, RegimeWarning
-from .propagator import DetectionRecord, _evolve_batch
+from .propagator import (
+    DetectionRecord,
+    _Batch,
+    _evolve_batch,
+    _evolve_rows,
+    _kernel,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -41,6 +48,7 @@ __all__ = [
 
 _CAPTURE_TARGET = 0.999
 _MIN_DETECTION = 0.9
+_KIJOWSKI_BLOCK_BYTES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -177,13 +185,12 @@ def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble
     pot = det1.potential_field(grid)
     psi0 = gaussian_free_state(cfg.packet, particle, t_start, grid)
     n_steps = int(round((t_end - t_start) / cfg.dt))
-    amps = np.array(psi0.amplitudes, dtype=complex)[None, :]
-    steps, w1, nsq, _, _ = _evolve_batch(
-        amps, grid, particle, pot, cfg.dt, n_steps, 1
-    )
-    times = t_start + steps * cfg.dt
-    w1 = w1[0]
-    p0 = nsq[0]
+    kernel = _kernel(grid, particle, pot, cfg.dt)
+    batch = _Batch(psi0.amplitudes[None, :], n_steps, 1)
+    _evolve_batch(kernel, batch)
+    times = t_start + batch.steps * cfg.dt
+    w1 = batch.w1[0]
+    p0 = batch.nsq[0]
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (w1[1:] + w1[:-1]) * np.diff(times))))
     record = DetectionRecord(
         times=times, survival_p0=p0, density_w1=w1, cumulative_detected=cum
@@ -222,12 +229,12 @@ def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble
         raise NoDetectionError("entry grid collapsed to fewer than two times")
     t_entry = t_start + idx * cfg.dt
 
-    amps = np.array(psi0.amplitudes, dtype=complex)[None, :]
-    _, _, _, _, snaps = _evolve_batch(
-        amps, grid, particle, pot, cfg.dt, int(idx[-1]), int(idx[-1]), snapshot_steps=idx
+    batch = _Batch(
+        psi0.amplitudes[None, :], int(idx[-1]), int(idx[-1]), snapshot_steps=idx
     )
+    _evolve_batch(kernel, batch)
     chi = det1.profile.chi(grid)
-    states = np.sqrt(det1.decay_a) * chi[None, :] * snaps[:, 0, :]
+    states = np.sqrt(det1.decay_a) * chi[None, :] * batch.snaps[:, 0, :]
     norms_sq = np.sum(np.abs(states) ** 2, axis=-1) * grid.dx
     weights = np.empty(len(t_entry))
     weights[1:-1] = 0.5 * (t_entry[2:] - t_entry[:-2])
@@ -274,8 +281,8 @@ def passage_distribution(
     basis = svals[keep, None] * vrows[keep]
 
     pot2 = cfg.detector2.potential_field(grid)  # detector 1 is off in stage 2
-    steps, w1rows, nsqrows, _, _ = _evolve_batch(
-        basis, grid, particle, pot2, dt2, n_steps, cfg.tau_stride
+    steps, w1rows, nsqrows = _evolve_rows(
+        _kernel(grid, particle, pot2, dt2), basis, n_steps, cfg.tau_stride
     )
     tau = steps * dt2
     g_tau = np.sum(w1rows, axis=0)
@@ -348,7 +355,7 @@ def kijowski_distribution(
     Pi_K(t) = hbar/(2 pi m) |int_0^inf dk sqrt(k) phi(k) e^{i k x - i hbar k^2 t/2m}|^2,
     evaluated by quadrature over the packet's analytic momentum amplitude.
     """
-    t = np.asarray(t_grid, dtype=float)
+    t = np.asarray(t_grid, dtype=float).ravel()
     m, hb = particle.mass, particle.hbar
     k0 = m * packet.mean_velocity_v0 / hb
     sk = 1.0 / (2.0 * packet.sigma_x)
@@ -364,6 +371,10 @@ def kijowski_distribution(
         -(packet.sigma_x**2) * (k - k0) ** 2 - 1j * k * packet.center_x0
     )
     integrand = np.sqrt(k) * phi * np.exp(1j * k * x)
-    chirp = np.exp(-1j * hb * np.outer(t, k * k) / (2.0 * m))
-    amp = chirp @ integrand * dk
+    # build the (times, k) chirp a block of times at a time, a few MB each
+    block = max(1, _KIJOWSKI_BLOCK_BYTES // (16 * n_k))
+    amp = np.empty(len(t), dtype=complex)
+    for i in range(0, len(t), block):
+        chirp = np.exp(-1j * hb * np.outer(t[i : i + block], k * k) / (2.0 * m))
+        amp[i : i + block] = chirp @ integrand * dk
     return hb / (2.0 * np.pi * m) * np.abs(amp) ** 2

@@ -11,13 +11,19 @@ E = m v0^2 / 2 the kinetic energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .core import GaussianPacketSpec, ParticleSpec, build_grid, free_sigma_x
 from .detector import DetectorSpec, RectangularProfile
 from .exceptions import ConfigError, ConvergenceError
-from .passage import ExperimentConfig, arrival_stage, passage_distribution
+from .passage import (
+    ExperimentConfig,
+    ResetEnsemble,
+    arrival_stage,
+    passage_distribution,
+)
 
 __all__ = [
     "WidthBudget",
@@ -164,21 +170,29 @@ def convergence_probe(cfg: ExperimentConfig, rel_tol: float = 1e-3) -> tuple[flo
     detector edge biases it at first order in dx as a rigid time shift, which
     cancels in entry-relative passage times.
     """
+    drift_mean, drift_std, _ = _probe(cfg, rel_tol)
+    return drift_mean, drift_std
 
-    def _moments(c: ExperimentConfig) -> tuple[float, float]:
-        record, _ = arrival_stage(c)
+
+def _probe(
+    cfg: ExperimentConfig, rel_tol: float = 1e-3
+) -> tuple[float, float, ResetEnsemble]:
+    """convergence_probe, also returning the reset ensemble of cfg itself."""
+
+    def _moments(c: ExperimentConfig) -> tuple[float, float, ResetEnsemble]:
+        record, ensemble = arrival_stage(c)
         w, t = record.density_w1, record.times
         tot = np.trapezoid(w, t)
         mean = np.trapezoid(t * w, t) / tot
         var = np.trapezoid((t - mean) ** 2 * w, t) / tot
-        return float(mean), float(np.sqrt(max(var, 0.0)))
+        return float(mean), float(np.sqrt(max(var, 0.0))), ensemble
 
-    m1, s1 = _moments(cfg)
+    m1, s1, ensemble = _moments(cfg)
     g = cfg.grid
     fine = replace(
         cfg, grid=build_grid(g.x_min, g.x_max, 2 * g.n_points), dt=cfg.dt / 2.0
     )
-    m2, s2 = _moments(fine)
+    m2, s2, _ = _moments(fine)
     drift_mean = abs(m2 - m1) / s1
     drift_std = abs(s2 - s1) / s1
     if drift_std > rel_tol:
@@ -186,7 +200,7 @@ def convergence_probe(cfg: ExperimentConfig, rel_tol: float = 1e-3) -> tuple[flo
             f"arrival width drift {drift_std:.2e} exceeds {rel_tol:.0e} "
             f"under dt/2 and 2n refinement"
         )
-    return drift_mean, drift_std
+    return drift_mean, drift_std, ensemble
 
 
 @dataclass(frozen=True)
@@ -199,8 +213,13 @@ class SweepResult:
     exponent: float
 
 
-def _sweep_point(cfg: ExperimentConfig) -> tuple[float, float]:
-    dist = passage_distribution(cfg)
+def _sweep_point(
+    cfg: ExperimentConfig,
+    probed: ExperimentConfig | None = None,
+    ensemble: ResetEnsemble | None = None,
+) -> tuple[float, float]:
+    # the probed config reuses the reset ensemble its probe already computed
+    dist = passage_distribution(cfg, ensemble if cfg is probed else None)
     return dist.std_tau, dist.total_probability
 
 
@@ -225,13 +244,15 @@ def scaling_sweep(
     if np.any(v0s <= 0.0):
         raise ConfigError("velocities must be positive")
     configs = [sweep_point_config(v0, d, particle, n_entry) for v0 in v0s]
+    point = _sweep_point
     if gate_first:
         try:
-            convergence_probe(configs[0])
+            _, _, ensemble = _probe(configs[0])
         except ConvergenceError as exc:
             raise ConvergenceError(f"sweep aborted at v0={v0s[0]}: {exc}") from exc
+        point = partial(_sweep_point, probed=configs[0], ensemble=ensemble)
     plans = [optimal_plan(d, particle, v0) for v0 in v0s]
-    points = list(mapper(_sweep_point, configs))
+    points = list(mapper(point, configs))
     stds = np.array([p[0] for p in points])
     totals = [p[1] for p in points]
     dtaus = [plan.delta_tau_opt for plan in plans]

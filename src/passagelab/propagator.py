@@ -7,6 +7,9 @@ states are closed with the trailing half factor before observables are taken.
 """
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,68 +86,168 @@ def step(
     return WaveFunction(grid=psi.grid, amplitudes=amps, time=psi.time + dt)
 
 
-def _evolve_batch(
-    amps: np.ndarray,
-    grid: SpatialGrid,
-    particle: ParticleSpec,
-    pot: ComplexPotentialField,
-    dt: float,
-    n_steps: int,
-    sample_stride: int,
-    snapshot_steps: np.ndarray | None = None,
-):
-    """Evolve a (r, n) batch in place; sample w1 and norm^2 rows at the stride.
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Returns (sample_steps, w1[r, n_samples], norm_sq[r, n_samples], amps_final,
-    snapshots). The merged-half-step loop keeps the per-step cost at two
-    batched FFTs plus one multiply; sampled copies are closed with the
-    trailing half factor. If snapshot_steps is given, the closed states at
-    those step indices are collected into snapshots[len(snapshot_steps), r, n].
-    """
+
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The process-wide pool that runs row chunks, created on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(
+                max_workers=_usable_cores(), thread_name_prefix="passagelab"
+            )
+        return _POOL
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """Step factors for one (grid, potential, dt), shared read-only by batches."""
+
+    kin: np.ndarray
+    vhalf: np.ndarray
+    vfull: np.ndarray
+    support: slice  # the span of grid points where the decay rate is non-zero
+    decay: np.ndarray  # the decay rate on that span
+    dx: float
+
+
+def _kernel(
+    grid: SpatialGrid, particle: ParticleSpec, pot: ComplexPotentialField, dt: float
+) -> _Kernel:
     vhalf = _potential_half_factor(pot, dt)
-    vfull = vhalf * vhalf
-    kin = _kinetic_factor(grid, particle, dt)
-    decay = pot.decay_rate
-    mask = decay > 0.0
-    dvals = decay[mask]
-    dx = grid.dx
-    samples = []
-    sample_steps = []
+    nonzero = np.flatnonzero(pot.decay_rate)
+    support = slice(nonzero[0], nonzero[-1] + 1) if len(nonzero) else slice(0, 0)
+    return _Kernel(
+        kin=_kinetic_factor(grid, particle, dt),
+        vhalf=vhalf,
+        vfull=vhalf * vhalf,
+        support=support,
+        decay=pot.decay_rate[support],
+        dx=grid.dx,
+    )
+
+
+class _Batch:
+    """Every array one batch run writes, allocated before the run starts.
+
+    amps (r, n) is the state, evolved in place; spec and closed are the FFT and
+    closure buffers, dens the |psi|^2 scratch. w1 and nsq (r, n_samples) take
+    the samples at steps; snaps (n_snap, r, n) the closed states at the
+    snapshot steps, if any are asked for.
+    """
+
+    def __init__(
+        self,
+        amps: np.ndarray,
+        n_steps: int,
+        sample_stride: int,
+        snapshot_steps: np.ndarray | None = None,
+    ) -> None:
+        self.amps = np.array(amps, dtype=complex)
+        self.spec = np.empty_like(self.amps)
+        self.closed = np.empty_like(self.amps)
+        self.dens = np.empty(self.amps.shape)
+        self.n_steps = n_steps
+        self.sample_stride = sample_stride
+        steps = np.arange(0, n_steps + 1, sample_stride)
+        if steps[-1] != n_steps:
+            steps = np.append(steps, n_steps)
+        self.steps = steps
+        rows = self.amps.shape[0]
+        self.w1 = np.empty((rows, len(steps)))
+        self.nsq = np.empty((rows, len(steps)))
+        self.snapshot_steps = snapshot_steps
+        self.snaps = None
+        if snapshot_steps is not None:
+            self.snaps = np.empty((len(snapshot_steps),) + self.amps.shape, dtype=complex)
+
+
+def _sample(kernel: _Kernel, batch: _Batch, closed: np.ndarray, j: int) -> None:
+    """Write w1 and norm^2 of the closed states into sample column j."""
+    dens = batch.dens
+    np.abs(closed, out=dens)
+    np.square(dens, out=dens)
+    nsq = batch.nsq[:, j]
+    np.sum(dens, axis=-1, out=nsq)
+    nsq *= kernel.dx
+    # a per-row numpy sum, not a BLAS product, whose per-row result changes
+    # with the number of rows: a row's bits must not depend on its batch
+    on_support = dens[:, kernel.support]
+    np.multiply(on_support, kernel.decay, out=on_support)
+    w1 = batch.w1[:, j]
+    np.sum(on_support, axis=-1, out=w1)
+    w1 *= kernel.dx
+
+
+def _evolve_batch(kernel: _Kernel, batch: _Batch) -> None:
+    """Evolve batch.amps in place; fill its samples and snapshots.
+
+    The merged-half-step loop keeps the per-step cost at two batched FFTs plus
+    one multiply and allocates nothing. Sampled states are closed with the
+    trailing half factor.
+    """
+    amps, spec, closed = batch.amps, batch.spec, batch.closed
+    kin, vhalf, vfull = kernel.kin, kernel.vhalf, kernel.vfull
+    n_steps, stride = batch.n_steps, batch.sample_stride
     snap_pos: dict[int, int] = {}
-    snaps = None
-    if snapshot_steps is not None:
-        snap_pos = {int(s): j for j, s in enumerate(snapshot_steps)}
-        snaps = np.empty((len(snapshot_steps),) + amps.shape, dtype=complex)
+    if batch.snapshot_steps is not None:
+        snap_pos = {int(s): j for j, s in enumerate(batch.snapshot_steps)}
         if 0 in snap_pos:
-            snaps[snap_pos[0]] = amps
-
-    def _take(a: np.ndarray, s: int) -> None:
-        dens = np.abs(a) ** 2
-        w1 = dens[..., mask] @ dvals * dx
-        nsq = np.sum(dens, axis=-1) * dx
-        samples.append((w1, nsq))
-        sample_steps.append(s)
-
-    _take(amps, 0)
+            batch.snaps[snap_pos[0]] = amps
+    _sample(kernel, batch, amps, 0)
+    j = 1
     amps *= vhalf
     for s in range(1, n_steps + 1):
-        amps = np.fft.ifft(np.fft.fft(amps, axis=-1) * kin, axis=-1)
-        wanted_sample = s % sample_stride == 0 or s == n_steps
+        np.fft.fft(amps, axis=-1, out=spec)
+        spec *= kin
+        np.fft.ifft(spec, axis=-1, out=amps)
+        wanted_sample = s % stride == 0 or s == n_steps
         wanted_snap = s in snap_pos
         if wanted_sample or wanted_snap:
-            closed = amps * vhalf
+            np.multiply(amps, vhalf, out=closed)
             if not np.isfinite(closed.view(float).sum()):
                 raise InstabilityError(f"non-finite amplitudes at step {s}")
             if wanted_sample:
-                _take(closed, s)
+                _sample(kernel, batch, closed, j)
+                j += 1
             if wanted_snap:
-                snaps[snap_pos[s]] = closed
+                batch.snaps[snap_pos[s]] = closed
         if s < n_steps:
             amps *= vfull
     amps *= vhalf
-    w1 = np.stack([w for w, _ in samples], axis=-1)
-    nsq = np.stack([n for _, n in samples], axis=-1)
-    return np.array(sample_steps), w1, nsq, amps, snaps
+
+
+def _evolve_rows(
+    kernel: _Kernel, rows: np.ndarray, n_steps: int, sample_stride: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evolve independent rows on the usable cores; (steps, w1, norm^2) rows.
+
+    The rows are split into contiguous chunks, one per core. Every chunk's
+    arrays are allocated here, in the calling thread; the pool threads run
+    only the kernel. Because the kernel's per-row results do not depend on
+    the batch, the output is the same for any number of chunks.
+    """
+    n_chunks = max(1, min(_usable_cores(), len(rows)))
+    batches = [_Batch(c, n_steps, sample_stride) for c in np.array_split(rows, n_chunks)]
+    if n_chunks == 1:
+        _evolve_batch(kernel, batches[0])
+    else:
+        pool = _pool()
+        futures = [pool.submit(_evolve_batch, kernel, b) for b in batches]
+        wait(futures)
+        for future in futures:
+            future.result()
+    w1 = np.concatenate([b.w1 for b in batches])
+    nsq = np.concatenate([b.nsq for b in batches])
+    return batches[0].steps, w1, nsq
 
 
 def evolve_conditional(
@@ -168,19 +271,17 @@ def evolve_conditional(
     n_steps = int(round((t_final - psi0.time) / dt))
     if n_steps < 1:
         raise ValueError("t_final - t0 shorter than one step")
-    amps = np.array(psi0.amplitudes, dtype=complex)
-    steps, w1, nsq, amps, _ = _evolve_batch(
-        amps[None, :], psi0.grid, particle, pot, dt, n_steps, sample_stride
-    )
-    times = psi0.time + steps * dt
-    w1 = w1[0]
-    p0 = nsq[0]
+    batch = _Batch(psi0.amplitudes[None, :], n_steps, sample_stride)
+    _evolve_batch(_kernel(psi0.grid, particle, pot, dt), batch)
+    times = psi0.time + batch.steps * dt
+    w1 = batch.w1[0]
+    p0 = batch.nsq[0]
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (w1[1:] + w1[:-1]) * np.diff(times))))
     record = DetectionRecord(
         times=times, survival_p0=p0, density_w1=w1, cumulative_detected=cum
     )
     psi_final = WaveFunction(
-        grid=psi0.grid, amplitudes=amps[0], time=psi0.time + n_steps * dt
+        grid=psi0.grid, amplitudes=batch.amps[0], time=psi0.time + n_steps * dt
     )
     return psi_final, record
 

@@ -1,6 +1,8 @@
 """Two-detector pipeline: configuration, invariances, and reference
 distributions."""
+import typing
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +57,11 @@ def test_config_scalar_validation(toy_particle, toy_packet):
         toy_config(toy_particle, toy_packet, entry_quantile_lo=0.9, entry_quantile_hi=0.1)
     with pytest.raises(pl.ConfigError):
         toy_config(toy_particle, toy_packet, n_entry=1)
+
+
+def test_config_type_hints_resolve():
+    hints = typing.get_type_hints(pl.ExperimentConfig)
+    assert hints["grid"] is pl.SpatialGrid
 
 
 def test_distance_between_entry_edges(toy_particle, toy_packet):
@@ -129,6 +136,27 @@ def test_probability_accounting(toy_run):
     assert residual2 >= 0.0
     assert residual2 <= never + 1e-12
     assert dist.total_probability + never == pytest.approx(1.0, abs=2e-3)
+
+
+def test_distribution_identical_for_any_chunk_count(toy_run, monkeypatch):
+    # stage 2 splits the kept rows into one chunk per usable core
+    cfg = replace(toy_run["cfg"], dt2=1e-6)
+    ensemble = toy_run["ensemble"]
+    outs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr("passagelab.propagator._usable_cores", lambda: cores)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", pl.RegimeWarning)
+            outs.append(pl.passage_distribution(cfg, ensemble))
+    ref = outs[0]
+    assert ref.total_probability > 0.5
+    for dist in outs[1:]:
+        assert np.array_equal(dist.tau, ref.tau)
+        assert np.array_equal(dist.g_tau, ref.g_tau)
+        assert dist.mean_tau == ref.mean_tau
+        assert dist.std_tau == ref.std_tau
+        assert dist.total_probability == ref.total_probability
+        assert dist.leakage_report == ref.leakage_report
 
 
 def test_entry_grid_refinement_invariance(toy_particle, toy_packet):

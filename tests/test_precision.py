@@ -1,5 +1,6 @@
 """Width budget, optimal plans, and the scaling sweep machinery."""
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -238,6 +239,38 @@ def test_scaling_sweep_mapper_wiring(cesium):
     # the stub widths follow v0^(-3/2), i.e. exactly E^(-3/4)
     assert res.exponent == pytest.approx(-0.75, abs=1e-9)
     assert res.energy == pytest.approx(0.5 * cesium.mass * np.sort(v0s) ** 2)
+
+
+def test_scaling_sweep_reuses_probed_reset_ensemble(cesium, monkeypatch):
+    # the gated point gets the ensemble of the probe's coarse arrival run
+    probed = object()
+    arrivals = []
+
+    def fake_arrival(c):
+        arrivals.append(c.grid.n_points)
+        t = np.linspace(0.0, 1.0, 2001)
+        w1 = np.exp(-0.5 * ((t - 0.5) / 0.1) ** 2)
+        record = pl.DetectionRecord(
+            times=t,
+            survival_p0=np.ones_like(t),
+            density_w1=w1,
+            cumulative_detected=np.zeros_like(t),
+        )
+        return record, probed
+
+    seen = []
+
+    def fake_passage(cfg, ensemble=None):
+        seen.append(ensemble)
+        v0 = cfg.packet.mean_velocity_v0
+        return SimpleNamespace(std_tau=1e-3 * (7e-3 / v0) ** 1.5, total_probability=0.99)
+
+    monkeypatch.setattr("passagelab.precision.arrival_stage", fake_arrival)
+    monkeypatch.setattr("passagelab.precision.passage_distribution", fake_passage)
+    res = pl.scaling_sweep(np.array([10e-3, 3e-3]), CES_D, cesium)
+    assert len(arrivals) == 2  # the probe's coarse and fine runs
+    assert seen == [probed, None]
+    assert res.exponent == pytest.approx(-0.75, abs=1e-9)
 
 
 def test_single_point_width_near_estimate(cesium):

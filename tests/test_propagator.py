@@ -1,8 +1,13 @@
 """Split-operator evolution against closed-form references."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import passagelab as pl
+from passagelab import propagator
+from passagelab.propagator import _Batch, _evolve_batch, _kernel
 
 
 def _ivb_setup(n=2048, x_max=50e-6):
@@ -137,6 +142,80 @@ def test_single_step_matches_evolution_loop():
     looped, _ = pl.evolve_conditional(psi, pot, particle, t_final=10 * dt, dt=dt)
     assert np.max(np.abs(stepped.amplitudes - looped.amplitudes)) < 1e-14
     assert stepped.time == pytest.approx(looped.time)
+
+
+def _detector_rows(n_rows):
+    # packets with distinct centres and widths approaching a detector
+    particle, _, grid = _ivb_setup(n=512, x_max=2e-6)
+    det = pl.DetectorSpec(profile=pl.RectangularProfile(0.0, 1e-6), decay_a=1e4)
+    rows = np.array(
+        [
+            pl.gaussian_free_state(
+                pl.GaussianPacketSpec(
+                    center_x0=-16e-6 + 1e-6 * i,
+                    sigma_x=(1.5 + 0.1 * i) * 1e-6,
+                    mean_velocity_v0=7.17e-3,
+                ),
+                particle,
+                0.0,
+                grid,
+            ).amplitudes
+            for i in range(n_rows)
+        ]
+    )
+    return particle, grid, det.potential_field(grid), rows
+
+
+def test_batched_kernel_matches_single_steps():
+    particle, grid, pot, rows = _detector_rows(3)
+    dt = 1e-6
+    batch = _Batch(rows, 10, 5)
+    _evolve_batch(_kernel(grid, particle, pot, dt), batch)
+    for row, final in zip(rows, batch.amps):
+        stepped = pl.WaveFunction(grid=grid, amplitudes=row, time=0.0)
+        for _ in range(10):
+            stepped = pl.step(stepped, pot, particle, dt)
+        assert np.max(np.abs(stepped.amplitudes - final)) < 1e-14 * np.max(np.abs(row))
+
+
+def test_batch_row_bits_do_not_depend_on_batch():
+    # a row's w1 and norm samples are the same bits alone or among other rows
+    particle, grid, pot, rows = _detector_rows(5)
+    kernel = _kernel(grid, particle, pot, 1e-6)
+    full = _Batch(rows, 40, 4)
+    _evolve_batch(kernel, full)
+    assert np.all(full.w1[:, -1] > 0.0)
+    for i, row in enumerate(rows):
+        alone = _Batch(row[None, :], 40, 4)
+        _evolve_batch(kernel, alone)
+        assert np.array_equal(alone.w1[0], full.w1[i])
+        assert np.array_equal(alone.nsq[0], full.nsq[i])
+        assert np.array_equal(alone.amps[0], full.amps[i])
+
+
+def test_pool_created_once_under_concurrent_first_use(monkeypatch):
+    monkeypatch.setattr(propagator, "_POOL", None)
+    seen = []
+    start = threading.Barrier(8)
+
+    def first_use():
+        start.wait(timeout=10.0)
+        seen.append(propagator._pool())
+
+    threads = [threading.Thread(target=first_use) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8
+    assert all(pool is seen[0] for pool in seen)
+    seen[0].shutdown()
 
 
 def test_peak_time_parabolic_refinement():
