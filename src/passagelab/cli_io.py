@@ -28,7 +28,9 @@ import yaml
 from .core import (
     GaussianPacketSpec,
     ParticleSpec,
+    WaveFunction,
     build_grid,
+    gaussian_free_state,
     momentum_amplitudes,
     observables,
 )
@@ -62,86 +64,77 @@ _UNITS = {
     "float": {},
 }
 
-_PACKET_SCHEMA = {"center": "length", "sigma": "length", "velocity": "velocity"}
-_DETECTOR_SCHEMA = {
-    "start": "length",
-    "stop": "length",
-    "decay_rate": "rate",
-    "shift": "rate",
-}
-_GRID_SCHEMA = {"x_min": "length", "x_max": "length", "n_points": "int"}
-
+# every config key as (kind, default), nested by section; kinds ending in "?"
+# also accept null, and defaults are SI
 SCHEMA = {
-    "particle": {"mass": "mass"},
-    "packet": _PACKET_SCHEMA,
-    "detector1": _DETECTOR_SCHEMA,
-    "detector2": _DETECTOR_SCHEMA,
-    "grid": _GRID_SCHEMA,
+    "particle": {"mass": ("mass", 2.2069e-25)},
+    "packet": {
+        "center": ("length", 0.0),
+        "sigma": ("length", 1e-6),
+        "velocity": ("velocity", 7.17e-3),
+    },
+    "detector1": {
+        "start": ("length", 0.0),
+        "stop": ("length", 20e-6),
+        "decay_rate": ("rate", 2.3895e3),
+        "shift": ("rate", 0.0),
+    },
+    "detector2": {
+        "start": ("length", 100e-6),
+        "stop": ("length", 120e-6),
+        "decay_rate": ("rate", 2.3895e3),
+        "shift": ("rate", 0.0),
+    },
+    "grid": {
+        "x_min": ("length", -30e-6),
+        "x_max": ("length", 200e-6),
+        "n_points": ("int", 8192),
+    },
     "solver": {
-        "dt": "time",
-        "dt2": "time?",
-        "t_start": "time?",
-        "t_end1": "time?",
-        "tau_max": "time?",
-        "tau_stride": "int",
+        "dt": ("time", 1e-6),
+        "dt2": ("time?", None),
+        "t_start": ("time?", None),
+        "t_end1": ("time?", None),
+        "tau_max": ("time?", None),
+        "tau_stride": ("int", 10),
     },
-    "entry_grid": {"n": "int", "quantile_lo": "float", "quantile_hi": "float"},
+    "entry_grid": {
+        "n": ("int", 256),
+        "quantile_lo": ("float", 5e-4),
+        "quantile_hi": ("float", 0.9995),
+    },
     "bath": {
-        "n_modes": "int",
-        "omega_0": "frequency",
-        "omega_max": "frequency?",
-        "omega_max_ratio": "float?",
-        "coupling": "coupling",
-        "delta_t": "time",
-        "n_time_samples": "int",
-        "packet": _PACKET_SCHEMA,
-        "grid": _GRID_SCHEMA,
+        "n_modes": ("int", 15),
+        "omega_0": ("frequency", 2.38e12),
+        "omega_max": ("frequency?", None),
+        "omega_max_ratio": ("float?", 4.6),
+        "coupling": ("coupling", 2.782e3),
+        "delta_t": ("time", 4.185e-11),
+        "n_time_samples": ("int", 8192),
+        "packet": {
+            "center": ("length", 0.0),
+            "sigma": ("length", 50e-9),
+            "velocity": ("velocity", 1.79),
+        },
+        "grid": {
+            "x_min": ("length", -0.6e-6),
+            "x_max": ("length", 0.6e-6),
+            "n_points": ("int", 4096),
+        },
     },
-    "kijowski": {"at_x": "length", "t_min": "time", "t_max": "time", "n_times": "int"},
-    "reset_state": {"at_time": "time?"},
+    "kijowski": {
+        "at_x": ("length", 0.0),
+        "t_min": ("time", -0.5e-3),
+        "t_max": ("time", 1.5e-3),
+        "n_times": ("int", 2001),
+    },
+    "reset_state": {"at_time": ("time?", None)},
     "sweep": {
-        "v0_min": "velocity",
-        "v0_max": "velocity",
-        "n_points": "int",
-        "distance": "length",
-        "n_entry": "int",
-    },
-}
-
-DEFAULTS = {
-    "particle": {"mass": 2.2069e-25},
-    "packet": {"center": 0.0, "sigma": 1e-6, "velocity": 7.17e-3},
-    "detector1": {"start": 0.0, "stop": 20e-6, "decay_rate": 2.3895e3, "shift": 0.0},
-    "detector2": {"start": 100e-6, "stop": 120e-6, "decay_rate": 2.3895e3, "shift": 0.0},
-    "grid": {"x_min": -30e-6, "x_max": 200e-6, "n_points": 8192},
-    "solver": {
-        "dt": 1e-7,
-        "dt2": None,
-        "t_start": None,
-        "t_end1": None,
-        "tau_max": None,
-        "tau_stride": 10,
-    },
-    "entry_grid": {"n": 256, "quantile_lo": 5e-4, "quantile_hi": 0.9995},
-    "bath": {
-        "n_modes": 15,
-        "omega_0": 2.38e12,
-        "omega_max": None,
-        "omega_max_ratio": 4.6,
-        "coupling": 2.782e3,
-        "delta_t": 4.185e-11,
-        "n_time_samples": 8192,
-        "packet": {"center": 0.0, "sigma": 50e-9, "velocity": 1.79},
-        "grid": {"x_min": -0.6e-6, "x_max": 0.6e-6, "n_points": 4096},
-    },
-    "kijowski": {"at_x": 0.0, "t_min": -0.5e-3, "t_max": 1.5e-3, "n_times": 2001},
-    "reset_state": {"at_time": None},
-    "sweep": {
-        "v0_min": 3e-3,
-        "v0_max": 30e-3,
-        "n_points": 7,
-        "distance": 100e-6,
-        "n_entry": 256,
+        "v0_min": ("velocity", 3e-3),
+        "v0_max": ("velocity", 30e-3),
+        "n_points": ("int", 7),
+        "distance": ("length", 100e-6),
+        "n_entry": ("int", 256),
     },
 }
 
@@ -181,31 +174,31 @@ def parse_quantity(raw, kind: str, path: str) -> float | int | None:
     raise ConfigError(f"{path}: unsupported value {raw!r}")
 
 
-def _merge(schema: dict, defaults: dict, user: dict, path: str = "") -> dict:
+def _merge(schema: dict, user: dict, path: str = "") -> dict:
     out = {}
-    for key, val in user.items():
+    for key in user:
         if key not in schema:
             raise ConfigError(f"unknown key: {path}{key}")
-    for key, kind in schema.items():
+    for key, entry in schema.items():
         here = f"{path}{key}"
-        if isinstance(kind, dict):
+        if isinstance(entry, dict):
             sub = user.get(key, {})
             if sub is None:
                 sub = {}
             if not isinstance(sub, dict):
                 raise ConfigError(f"{here}: expected a mapping")
-            out[key] = _merge(kind, defaults[key], sub, here + ".")
+            out[key] = _merge(entry, sub, here + ".")
         elif key in user:
-            out[key] = parse_quantity(user[key], kind, here)
+            out[key] = parse_quantity(user[key], entry[0], here)
         else:
-            out[key] = defaults[key]
+            out[key] = entry[1]
     return out
 
 
 def load_config(path: str | None) -> dict:
     """Parse and validate a YAML config file; None gives pure defaults."""
     if path is None:
-        return _merge(SCHEMA, DEFAULTS, {})
+        return _merge(SCHEMA, {})
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
@@ -217,16 +210,22 @@ def load_config(path: str | None) -> dict:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top level must be a mapping")
-    return _merge(SCHEMA, DEFAULTS, raw)
+    return _merge(SCHEMA, raw)
+
+
+def _particle(conf: dict) -> ParticleSpec:
+    return ParticleSpec(mass=conf["particle"]["mass"])
+
+
+def _packet(section: dict) -> GaussianPacketSpec:
+    return GaussianPacketSpec(
+        center_x0=section["center"],
+        sigma_x=section["sigma"],
+        mean_velocity_v0=section["velocity"],
+    )
 
 
 def build_experiment(conf: dict) -> ExperimentConfig:
-    particle = ParticleSpec(mass=conf["particle"]["mass"])
-    pk = conf["packet"]
-    packet = GaussianPacketSpec(
-        center_x0=pk["center"], sigma_x=pk["sigma"], mean_velocity_v0=pk["velocity"]
-    )
-
     def _det(section: dict) -> DetectorSpec:
         return DetectorSpec(
             profile=RectangularProfile(section["start"], section["stop"]),
@@ -238,8 +237,8 @@ def build_experiment(conf: dict) -> ExperimentConfig:
     s = conf["solver"]
     e = conf["entry_grid"]
     return ExperimentConfig(
-        particle=particle,
-        packet=packet,
+        particle=_particle(conf),
+        packet=_packet(conf["packet"]),
         detector1=_det(conf["detector1"]),
         detector2=_det(conf["detector2"]),
         grid=build_grid(g["x_min"], g["x_max"], g["n_points"]),
@@ -331,7 +330,7 @@ def _summary(out_dir: Path, name: str, conf: dict, payload: dict, warned: list[s
     return path
 
 
-def _cmd_arrival(conf: dict, out: Path, emit_plots: bool) -> dict:
+def _cmd_arrival(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     cfg = build_experiment(conf)
     record, ensemble = arrival_stage(cfg)
     _write_csv(
@@ -339,7 +338,7 @@ def _cmd_arrival(conf: dict, out: Path, emit_plots: bool) -> dict:
         ["t_seconds", "w1_per_second"],
         [record.times, record.density_w1],
     )
-    if emit_plots:
+    if args.emit_plots:
         _write_plot_script(out, "arrival", "first-detection density")
     return {
         "peak_time_seconds": peak_time(record),
@@ -349,14 +348,14 @@ def _cmd_arrival(conf: dict, out: Path, emit_plots: bool) -> dict:
     }
 
 
-def _cmd_passage(conf: dict, out: Path, emit_plots: bool) -> dict:
+def _cmd_passage(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     cfg = build_experiment(conf)
     record, ensemble = arrival_stage(cfg)
     dist = passage_distribution(cfg, ensemble)
     _write_csv(
         out / "passage.csv", ["tau_seconds", "g_per_second"], [dist.tau, dist.g_tau]
     )
-    if emit_plots:
+    if args.emit_plots:
         _write_plot_script(out, "passage", "passage-time distribution")
     never, residual2 = dist.leakage_report
     return {
@@ -371,7 +370,7 @@ def _cmd_passage(conf: dict, out: Path, emit_plots: bool) -> dict:
     }
 
 
-def _cmd_reset_state(conf: dict, out: Path, emit_plots: bool) -> dict:
+def _cmd_reset_state(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     cfg = build_experiment(conf)
     record, ensemble = arrival_stage(cfg)
     want = conf["reset_state"]["at_time"]
@@ -379,8 +378,6 @@ def _cmd_reset_state(conf: dict, out: Path, emit_plots: bool) -> dict:
         want = peak_time(record)
     i = int(np.argmin(np.abs(ensemble.entry_times - want)))
     t_used = float(ensemble.entry_times[i])
-    from .core import WaveFunction
-
     psi = WaveFunction(grid=cfg.grid, amplitudes=ensemble.states[i], time=t_used)
     mom = observables(psi, hbar=cfg.particle.hbar)
     dens_x = np.abs(psi.amplitudes) ** 2
@@ -388,14 +385,7 @@ def _cmd_reset_state(conf: dict, out: Path, emit_plots: bool) -> dict:
     order = np.argsort(cfg.grid.k)
     p_sorted = cfg.particle.hbar * cfg.grid.k[order]
     dens_p = (np.abs(phi) ** 2 / cfg.particle.hbar)[order]
-    packet0 = GaussianPacketSpec(
-        center_x0=conf["packet"]["center"],
-        sigma_x=conf["packet"]["sigma"],
-        mean_velocity_v0=conf["packet"]["velocity"],
-    )
-    from .core import gaussian_free_state
-
-    psi0 = gaussian_free_state(packet0, cfg.particle, 0.0, cfg.grid)
+    psi0 = gaussian_free_state(cfg.packet, cfg.particle, 0.0, cfg.grid)
     phi0 = momentum_amplitudes(psi0)
     dens_p0 = (np.abs(phi0) ** 2 / cfg.particle.hbar)[order]
     _write_csv(
@@ -408,7 +398,7 @@ def _cmd_reset_state(conf: dict, out: Path, emit_plots: bool) -> dict:
         ["p_kg_m_per_s", "reset_density", "initial_packet_density"],
         [p_sorted, dens_p, dens_p0],
     )
-    if emit_plots:
+    if args.emit_plots:
         _write_plot_script(out, "reset_state_position", "reset state, position")
         _write_plot_script(out, "reset_state_momentum", "reset state, momentum")
     return {
@@ -420,13 +410,10 @@ def _cmd_reset_state(conf: dict, out: Path, emit_plots: bool) -> dict:
     }
 
 
-def _cmd_discrete_compare(conf: dict, out: Path, emit_plots: bool) -> dict:
+def _cmd_discrete_compare(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     bath, b = build_bath(conf)
-    particle = ParticleSpec(mass=conf["particle"]["mass"])
-    pk = b["packet"]
-    packet = GaussianPacketSpec(
-        center_x0=pk["center"], sigma_x=pk["sigma"], mean_velocity_v0=pk["velocity"]
-    )
+    particle = _particle(conf)
+    packet = _packet(b["packet"])
     grid = build_grid(b["grid"]["x_min"], b["grid"]["x_max"], b["grid"]["n_points"])
     rcfg = DiscreteResetConfig(
         bath=bath, packet=packet, delta_t=b["delta_t"], n_time_samples=b["n_time_samples"]
@@ -442,7 +429,7 @@ def _cmd_discrete_compare(conf: dict, out: Path, emit_plots: bool) -> dict:
         ["x_meters", "discrete_density_per_meter", "continuum_density_per_meter"],
         [grid.x, disc.values, cont.values],
     )
-    if emit_plots:
+    if args.emit_plots:
         _write_plot_script(out, "discrete_compare", "discrete vs continuum density")
     return {
         "l1_full": metrics.l1_full,
@@ -453,28 +440,25 @@ def _cmd_discrete_compare(conf: dict, out: Path, emit_plots: bool) -> dict:
     }
 
 
-def _cmd_kijowski(conf: dict, out: Path, emit_plots: bool) -> dict:
-    particle = ParticleSpec(mass=conf["particle"]["mass"])
-    pk = conf["packet"]
-    packet = GaussianPacketSpec(
-        center_x0=pk["center"], sigma_x=pk["sigma"], mean_velocity_v0=pk["velocity"]
-    )
+def _cmd_kijowski(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     kj = conf["kijowski"]
     t = np.linspace(kj["t_min"], kj["t_max"], kj["n_times"])
-    pi_k = kijowski_distribution(packet, particle, kj["at_x"], t)
+    pi_k = kijowski_distribution(
+        _packet(conf["packet"]), _particle(conf), kj["at_x"], t
+    )
     _write_csv(out / "kijowski.csv", ["t_seconds", "pi_k_per_second"], [t, pi_k])
-    if emit_plots:
+    if args.emit_plots:
         _write_plot_script(out, "kijowski", "reference arrival distribution")
     norm = float(np.trapezoid(pi_k, t))
     return {"normalization_on_grid": norm, "at_x_meters": kj["at_x"]}
 
 
-def _cmd_precision_sweep(conf: dict, out: Path, emit_plots: bool, threads: int) -> dict:
+def _cmd_precision_sweep(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     sw = conf["sweep"]
-    particle = ParticleSpec(mass=conf["particle"]["mass"])
+    particle = _particle(conf)
     v0s = np.geomspace(sw["v0_min"], sw["v0_max"], sw["n_points"])
-    if threads > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
+    if args.threads > 1:
+        pool = ThreadPoolExecutor(max_workers=args.threads)
         mapper = pool.map
     else:
         pool = None
@@ -491,7 +475,7 @@ def _cmd_precision_sweep(conf: dict, out: Path, emit_plots: bool, threads: int) 
         ["v0_m_per_s", "energy_joules", "std_tau_seconds", "delta_tau_opt_seconds"],
         [result.v0, result.energy, result.std_tau, result.delta_tau_opt],
     )
-    if emit_plots:
+    if args.emit_plots:
         _write_plot_script(out, "precision_sweep", "width vs energy", logy=True)
     plan_ref = optimal_plan(sw["distance"], particle, 7.17e-3)
     return {
@@ -505,22 +489,22 @@ def _cmd_precision_sweep(conf: dict, out: Path, emit_plots: bool, threads: int) 
     }
 
 
+_COMMANDS = {
+    "arrival": _cmd_arrival,
+    "passage": _cmd_passage,
+    "reset-state": _cmd_reset_state,
+    "discrete-compare": _cmd_discrete_compare,
+    "kijowski": _cmd_kijowski,
+    "precision-sweep": _cmd_precision_sweep,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="passagelab",
         description="Simulated quantum arrival- and passage-time measurements.",
     )
-    parser.add_argument(
-        "subcommand",
-        choices=[
-            "arrival",
-            "passage",
-            "reset-state",
-            "discrete-compare",
-            "kijowski",
-            "precision-sweep",
-        ],
-    )
+    parser.add_argument("subcommand", choices=list(_COMMANDS))
     parser.add_argument("--config", default=None, help="YAML config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument(
@@ -544,18 +528,7 @@ def main(argv: list[str] | None = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RegimeWarning)
-            if args.subcommand == "arrival":
-                payload = _cmd_arrival(conf, out, args.emit_plots)
-            elif args.subcommand == "passage":
-                payload = _cmd_passage(conf, out, args.emit_plots)
-            elif args.subcommand == "reset-state":
-                payload = _cmd_reset_state(conf, out, args.emit_plots)
-            elif args.subcommand == "discrete-compare":
-                payload = _cmd_discrete_compare(conf, out, args.emit_plots)
-            elif args.subcommand == "kijowski":
-                payload = _cmd_kijowski(conf, out, args.emit_plots)
-            else:
-                payload = _cmd_precision_sweep(conf, out, args.emit_plots, args.threads)
+            payload = _COMMANDS[args.subcommand](conf, out, args)
         warned = [str(w.message) for w in caught if issubclass(w.category, RegimeWarning)]
         payload["runtime_seconds"] = round(time.time() - started, 3)
         _summary(out, args.subcommand, conf, payload, warned)
@@ -565,10 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PassageLabError as exc:
+    except (PassageLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

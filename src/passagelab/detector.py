@@ -171,6 +171,10 @@ class DetectorSpec:
             real_shift=self.shift * chi_sq,
         )
 
+    def reset_factor(self, grid: SpatialGrid) -> np.ndarray:
+        """sqrt(A)*chi(x): the map from a conditional state to its reset state."""
+        return np.sqrt(self.decay_a) * self.profile.chi(grid)
+
 
 def reset(psi_cond: WaveFunction, det: DetectorSpec) -> WaveFunction:
     """Post-detection state sqrt(A)*chi(x)*psi_cond, unnormalized.
@@ -178,8 +182,7 @@ def reset(psi_cond: WaveFunction, det: DetectorSpec) -> WaveFunction:
     Its squared norm equals A * int chi^2 |psi|^2 dx, which is w1(t) for
     indicator profiles.
     """
-    chi = det.profile.chi(psi_cond.grid)
-    amps = np.sqrt(det.decay_a) * chi * psi_cond.amplitudes
+    amps = det.reset_factor(psi_cond.grid) * psi_cond.amplitudes
     nsq = float(np.sum(np.abs(amps) ** 2) * psi_cond.grid.dx)
     if nsq < 1e-30:
         raise ZeroOverlapError(

@@ -34,6 +34,7 @@ from .propagator import (
     _evolve_batch,
     _evolve_rows,
     _kernel,
+    evolve_conditional,
 )
 
 __all__ = [
@@ -182,23 +183,19 @@ def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble
     t_end = cfg.t_end1 if cfg.t_end1 is not None else _auto_t_end1(cfg)
     if t_end <= t_start:
         raise ConfigError(f"t_end1 {t_end} must exceed t_start {t_start}")
+    if round((t_end - t_start) / cfg.dt) < 1:
+        raise NoDetectionError(
+            f"detection window {t_end - t_start:.3e} s is shorter than one step"
+        )
     pot = det1.potential_field(grid)
     psi0 = gaussian_free_state(cfg.packet, particle, t_start, grid)
-    n_steps = int(round((t_end - t_start) / cfg.dt))
-    kernel = _kernel(grid, particle, pot, cfg.dt)
-    batch = _Batch(psi0.amplitudes[None, :], n_steps, 1)
-    _evolve_batch(kernel, batch)
-    times = t_start + batch.steps * cfg.dt
-    w1 = batch.w1[0]
-    p0 = batch.nsq[0]
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (w1[1:] + w1[:-1]) * np.diff(times))))
-    record = DetectionRecord(
-        times=times, survival_p0=p0, density_w1=w1, cumulative_detected=cum
-    )
+    _, record = evolve_conditional(psi0, pot, particle, t_end, cfg.dt)
+    times, cum = record.times, record.cumulative_detected
+    n_steps = len(times) - 1
     p_detected = float(cum[-1])
     if p_detected <= 0.0:
         raise NoDetectionError("detector 1 accumulated no detection probability")
-    residual = float(p0[-1])
+    residual = float(record.survival_p0[-1])
     if p_detected < _MIN_DETECTION:
         warnings.warn(
             f"detector-1 detection probability {p_detected:.3f} < {_MIN_DETECTION}; "
@@ -232,9 +229,8 @@ def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble
     batch = _Batch(
         psi0.amplitudes[None, :], int(idx[-1]), int(idx[-1]), snapshot_steps=idx
     )
-    _evolve_batch(kernel, batch)
-    chi = det1.profile.chi(grid)
-    states = np.sqrt(det1.decay_a) * chi[None, :] * batch.snaps[:, 0, :]
+    _evolve_batch(_kernel(grid, particle, pot, cfg.dt), batch)
+    states = det1.reset_factor(grid) * batch.snaps[:, 0, :]
     norms_sq = np.sum(np.abs(states) ** 2, axis=-1) * grid.dx
     weights = np.empty(len(t_entry))
     weights[1:-1] = 0.5 * (t_entry[2:] - t_entry[:-2])
@@ -259,6 +255,16 @@ def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble
         residual_norm_1=residual,
     )
     return record, ensemble
+
+
+def _moments(t: np.ndarray, density: np.ndarray) -> tuple[float, float, float]:
+    """Trapezoid total, mean and std of a detection density sampled at times t."""
+    total = float(np.trapezoid(density, t))
+    if total <= 0.0:
+        raise NoDetectionError(f"detection density integrates to {total:.3e}")
+    mean = float(np.trapezoid(t * density, t) / total)
+    var = float(np.trapezoid((t - mean) ** 2 * density, t) / total)
+    return total, mean, float(np.sqrt(max(var, 0.0)))
 
 
 def passage_distribution(
@@ -288,11 +294,7 @@ def passage_distribution(
     g_tau = np.sum(w1rows, axis=0)
     residual_2 = float(np.sum(nsqrows[:, -1]))
 
-    total = float(np.trapezoid(g_tau, tau))
-    if total <= 0.0:
-        raise NoDetectionError("detector 2 accumulated no detection probability")
-    mean = float(np.trapezoid(tau * g_tau, tau) / total)
-    var = float(np.trapezoid((tau - mean) ** 2 * g_tau, tau) / total)
+    total, mean, std = _moments(tau, g_tau)
     entry_truncation = ensemble.p_detected_1 - ensemble.captured_mass
     never_detected = ensemble.residual_norm_1 + residual_2 + entry_truncation
     detectable = total + residual_2
@@ -308,7 +310,7 @@ def passage_distribution(
         g_tau=g_tau,
         total_probability=total,
         mean_tau=mean,
-        std_tau=float(np.sqrt(max(var, 0.0))),
+        std_tau=std,
         leakage_report=(never_detected, residual_2),
     )
 

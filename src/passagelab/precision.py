@@ -21,6 +21,7 @@ from .exceptions import ConfigError, ConvergenceError
 from .passage import (
     ExperimentConfig,
     ResetEnsemble,
+    _moments,
     arrival_stage,
     passage_distribution,
 )
@@ -179,20 +180,14 @@ def _probe(
 ) -> tuple[float, float, ResetEnsemble]:
     """convergence_probe, also returning the reset ensemble of cfg itself."""
 
-    def _moments(c: ExperimentConfig) -> tuple[float, float, ResetEnsemble]:
-        record, ensemble = arrival_stage(c)
-        w, t = record.density_w1, record.times
-        tot = np.trapezoid(w, t)
-        mean = np.trapezoid(t * w, t) / tot
-        var = np.trapezoid((t - mean) ** 2 * w, t) / tot
-        return float(mean), float(np.sqrt(max(var, 0.0))), ensemble
-
-    m1, s1, ensemble = _moments(cfg)
+    record, ensemble = arrival_stage(cfg)
+    _, m1, s1 = _moments(record.times, record.density_w1)
     g = cfg.grid
     fine = replace(
         cfg, grid=build_grid(g.x_min, g.x_max, 2 * g.n_points), dt=cfg.dt / 2.0
     )
-    m2, s2, _ = _moments(fine)
+    record, _ = arrival_stage(fine)
+    _, m2, s2 = _moments(record.times, record.density_w1)
     drift_mean = abs(m2 - m1) / s1
     drift_std = abs(s2 - s1) / s1
     if drift_std > rel_tol:

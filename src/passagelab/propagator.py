@@ -141,7 +141,7 @@ class _Batch:
     amps (r, n) is the state, evolved in place; spec and closed are the FFT and
     closure buffers, dens the |psi|^2 scratch. w1 and nsq (r, n_samples) take
     the samples at steps; snaps (n_snap, r, n) the closed states at the
-    snapshot steps, if any are asked for.
+    snapshot steps, if any are asked for. Snapshot steps lie in 1..n_steps.
     """
 
     def __init__(
@@ -200,8 +200,6 @@ def _evolve_batch(kernel: _Kernel, batch: _Batch) -> None:
     snap_pos: dict[int, int] = {}
     if batch.snapshot_steps is not None:
         snap_pos = {int(s): j for j, s in enumerate(batch.snapshot_steps)}
-        if 0 in snap_pos:
-            batch.snaps[snap_pos[0]] = amps
     _sample(kernel, batch, amps, 0)
     j = 1
     amps *= vhalf

@@ -9,6 +9,7 @@ import yaml
 import passagelab as pl
 from passagelab import cli_io
 from passagelab.exceptions import ConfigError, ConvergenceError
+from passagelab.passage import _auto_tau_max
 
 # light config so CLI runs finish in seconds; mirrors the toy fixtures
 TOY_YAML = """
@@ -74,6 +75,13 @@ def test_load_config_defaults_reference_study():
     assert conf["bath"]["n_modes"] == 15
     assert conf["bath"]["omega_max"] is None
     assert conf["bath"]["omega_max_ratio"] == 4.6
+
+
+def test_default_config_stage_two_step_count():
+    # dt2 falls back to dt, so the default step sets the cost of stage 2
+    cfg = cli_io.build_experiment(cli_io.load_config(None))
+    assert cfg.dt2 is None
+    assert round(_auto_tau_max(cfg) / cfg.dt) < 30_000
 
 
 def test_load_config_unknown_key_reports_dotted_path(tmp_path):

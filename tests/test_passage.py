@@ -81,6 +81,12 @@ def test_no_detection_raises(toy_particle, toy_packet):
         pl.arrival_stage(cfg)
 
 
+def test_window_shorter_than_one_step_raises_no_detection(toy_particle, toy_packet):
+    cfg = toy_config(toy_particle, toy_packet, t_start=0.0, t_end1=8e-8)  # 0.4 dt
+    with pytest.raises(pl.NoDetectionError, match="shorter than one step"):
+        pl.arrival_stage(cfg)
+
+
 def test_weak_detector_warns(toy_particle, toy_packet):
     cfg = toy_config(
         toy_particle,
@@ -113,6 +119,21 @@ def test_ensemble_bookkeeping(toy_run):
     )
     assert ens.captured_mass <= ens.p_detected_1 * (1.0 + 1e-9)
     assert 0.0 <= ens.residual_norm_1 < 1.0
+
+
+def test_ensemble_states_are_reset_conditional_states(toy_run):
+    # each row is reset() applied to the conditional state evolved to its entry time
+    cfg, ens = toy_run["cfg"], toy_run["ensemble"]
+    det1 = cfg.detector1
+    pot = det1.potential_field(cfg.grid)
+    psi0 = pl.gaussian_free_state(
+        cfg.packet, cfg.particle, toy_run["record"].times[0], cfg.grid
+    )
+    for i in (0, len(ens.entry_times) // 2, len(ens.entry_times) - 1):
+        psi, _ = pl.evolve_conditional(
+            psi0, pot, cfg.particle, ens.entry_times[i], cfg.dt
+        )
+        assert np.array_equal(ens.states[i], pl.reset(psi, det1).amplitudes)
 
 
 def test_distribution_grid_and_positivity(toy_run):
