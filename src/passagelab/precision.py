@@ -21,6 +21,7 @@ from .exceptions import ConfigError, ConvergenceError
 from .passage import (
     ExperimentConfig,
     ResetEnsemble,
+    _arrival_pass,
     _moments,
     arrival_stage,
     passage_distribution,
@@ -186,7 +187,7 @@ def _probe(
     fine = replace(
         cfg, grid=build_grid(g.x_min, g.x_max, 2 * g.n_points), dt=cfg.dt / 2.0
     )
-    record, _ = arrival_stage(fine)
+    record, _, _ = _arrival_pass(fine)  # the record alone: no states held
     _, m2, s2 = _moments(record.times, record.density_w1)
     drift_mean = abs(m2 - m1) / s1
     drift_std = abs(s2 - s1) / s1

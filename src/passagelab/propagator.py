@@ -140,8 +140,8 @@ class _Batch:
 
     amps (r, n) is the state, evolved in place; spec and closed are the FFT and
     closure buffers, dens the |psi|^2 scratch. w1 and nsq (r, n_samples) take
-    the samples at steps; snaps (n_snap, r, n) the closed states at the
-    snapshot steps, if any are asked for. Snapshot steps lie in 1..n_steps.
+    the samples at steps; held (n_samples, r, len(hold)) the closed states on
+    the slice hold at the same samples (none by default).
     """
 
     def __init__(
@@ -149,7 +149,7 @@ class _Batch:
         amps: np.ndarray,
         n_steps: int,
         sample_stride: int,
-        snapshot_steps: np.ndarray | None = None,
+        hold: slice = slice(0, 0),
     ) -> None:
         self.amps = np.array(amps, dtype=complex)
         self.spec = np.empty_like(self.amps)
@@ -164,14 +164,13 @@ class _Batch:
         rows = self.amps.shape[0]
         self.w1 = np.empty((rows, len(steps)))
         self.nsq = np.empty((rows, len(steps)))
-        self.snapshot_steps = snapshot_steps
-        self.snaps = None
-        if snapshot_steps is not None:
-            self.snaps = np.empty((len(snapshot_steps),) + self.amps.shape, dtype=complex)
+        self.hold = hold
+        self.held = np.empty((len(steps),) + self.amps[:, hold].shape, dtype=complex)
 
 
 def _sample(kernel: _Kernel, batch: _Batch, closed: np.ndarray, j: int) -> None:
-    """Write w1 and norm^2 of the closed states into sample column j."""
+    """Write w1 and norm^2 of the closed states, and the held slice, into sample j."""
+    batch.held[j] = closed[:, batch.hold]
     dens = batch.dens
     np.abs(closed, out=dens)
     np.square(dens, out=dens)
@@ -188,7 +187,7 @@ def _sample(kernel: _Kernel, batch: _Batch, closed: np.ndarray, j: int) -> None:
 
 
 def _evolve_batch(kernel: _Kernel, batch: _Batch) -> None:
-    """Evolve batch.amps in place; fill its samples and snapshots.
+    """Evolve batch.amps in place and fill its samples.
 
     The merged-half-step loop keeps the per-step cost at two batched FFTs plus
     one multiply and allocates nothing. Sampled states are closed with the
@@ -197,9 +196,6 @@ def _evolve_batch(kernel: _Kernel, batch: _Batch) -> None:
     amps, spec, closed = batch.amps, batch.spec, batch.closed
     kin, vhalf, vfull = kernel.kin, kernel.vhalf, kernel.vfull
     n_steps, stride = batch.n_steps, batch.sample_stride
-    snap_pos: dict[int, int] = {}
-    if batch.snapshot_steps is not None:
-        snap_pos = {int(s): j for j, s in enumerate(batch.snapshot_steps)}
     _sample(kernel, batch, amps, 0)
     j = 1
     amps *= vhalf
@@ -207,17 +203,12 @@ def _evolve_batch(kernel: _Kernel, batch: _Batch) -> None:
         np.fft.fft(amps, axis=-1, out=spec)
         spec *= kin
         np.fft.ifft(spec, axis=-1, out=amps)
-        wanted_sample = s % stride == 0 or s == n_steps
-        wanted_snap = s in snap_pos
-        if wanted_sample or wanted_snap:
+        if s % stride == 0 or s == n_steps:
             np.multiply(amps, vhalf, out=closed)
             if not np.isfinite(closed.view(float).sum()):
                 raise InstabilityError(f"non-finite amplitudes at step {s}")
-            if wanted_sample:
-                _sample(kernel, batch, closed, j)
-                j += 1
-            if wanted_snap:
-                batch.snaps[snap_pos[s]] = closed
+            _sample(kernel, batch, closed, j)
+            j += 1
         if s < n_steps:
             amps *= vfull
     amps *= vhalf
@@ -248,13 +239,32 @@ def _evolve_rows(
     return batches[0].steps, w1, nsq
 
 
+def _conditional(
+    kernel: _Kernel, psi0: WaveFunction, n_steps: int, dt: float, hold=slice(0, 0)
+) -> tuple[WaveFunction, DetectionRecord, np.ndarray]:
+    """Evolve psi0 by n_steps, sampling every step; the one maker of a record.
+
+    Also returns the closed state on the slice hold at every sample,
+    (n_steps + 1, 1, len(hold)).
+    """
+    batch = _Batch(psi0.amplitudes[None, :], n_steps, 1, hold)
+    _evolve_batch(kernel, batch)
+    times = psi0.time + batch.steps * dt
+    w1 = batch.w1[0]
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (w1[1:] + w1[:-1]) * np.diff(times))))
+    record = DetectionRecord(times, batch.nsq[0], w1, cum)
+    psi_final = WaveFunction(
+        grid=psi0.grid, amplitudes=batch.amps[0], time=psi0.time + n_steps * dt
+    )
+    return psi_final, record, batch.held
+
+
 def evolve_conditional(
     psi0: WaveFunction,
     pot: ComplexPotentialField,
     particle: ParticleSpec,
     t_final: float,
     dt: float,
-    sample_stride: int = 1,
 ) -> tuple[WaveFunction, DetectionRecord]:
     """Evolve to t_final recording P0(t) = <psi|psi> and w1(t) = int A |psi|^2 dx.
 
@@ -264,24 +274,10 @@ def evolve_conditional(
         raise GridError("potential and state live on different grids")
     if t_final <= psi0.time:
         raise ValueError(f"t_final {t_final} must exceed the state time {psi0.time}")
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
     n_steps = int(round((t_final - psi0.time) / dt))
     if n_steps < 1:
         raise ValueError("t_final - t0 shorter than one step")
-    batch = _Batch(psi0.amplitudes[None, :], n_steps, sample_stride)
-    _evolve_batch(_kernel(psi0.grid, particle, pot, dt), batch)
-    times = psi0.time + batch.steps * dt
-    w1 = batch.w1[0]
-    p0 = batch.nsq[0]
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (w1[1:] + w1[:-1]) * np.diff(times))))
-    record = DetectionRecord(
-        times=times, survival_p0=p0, density_w1=w1, cumulative_detected=cum
-    )
-    psi_final = WaveFunction(
-        grid=psi0.grid, amplitudes=batch.amps[0], time=psi0.time + n_steps * dt
-    )
-    return psi_final, record
+    return _conditional(_kernel(psi0.grid, particle, pot, dt), psi0, n_steps, dt)[:2]
 
 
 def peak_time(record: DetectionRecord) -> float:

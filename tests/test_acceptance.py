@@ -10,6 +10,8 @@ import pytest
 import passagelab as pl
 from conftest import A_FAST, A_INT, A_SLOW, DISTANCE_D
 
+pytestmark = pytest.mark.acceptance
+
 
 def _rel(measured: float, stated: float) -> float:
     return (measured - stated) / stated

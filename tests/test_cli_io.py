@@ -5,6 +5,8 @@ import py_compile
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import passagelab as pl
 from passagelab import cli_io
@@ -57,6 +59,43 @@ def test_parse_quantity_units():
 def test_parse_quantity_rejects(raw, kind):
     with pytest.raises(ConfigError):
         cli_io.parse_quantity(raw, kind, "p")
+
+
+_KINDS = sorted(cli_io._UNITS) + ["int"]
+_UNIT_PAIRS = [(kind, unit) for kind, table in cli_io._UNITS.items() for unit in table]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(value=_FINITE, pair=st.sampled_from(_UNIT_PAIRS))
+def test_parse_quantity_scales_any_unit_exactly(value, pair):
+    kind, unit = pair
+    parsed = cli_io.parse_quantity(f"{value!r} {unit}", kind, "p")
+    assert parsed == value * cli_io._UNITS[kind][unit]
+    assert cli_io.parse_quantity(f"{value!r}", kind, "p") == value
+    assert cli_io.parse_quantity(value, kind, "p") == value
+
+
+@given(
+    value=_FINITE,
+    kind=st.sampled_from(sorted(cli_io._UNITS)),
+    unit=st.text(st.sampled_from("abcmsuµ/^-1"), min_size=1, max_size=6),
+)
+def test_parse_quantity_rejects_unknown_units(value, kind, unit):
+    assume(unit not in cli_io._UNITS[kind])
+    with pytest.raises(ConfigError, match="unknown unit"):
+        cli_io.parse_quantity(f"{value!r} {unit}", kind, "p")
+
+
+@given(flag=st.booleans(), kind=st.sampled_from(_KINDS), nullable=st.booleans())
+def test_parse_quantity_rejects_booleans_and_required_nulls(flag, kind, nullable):
+    kind = kind + "?" if nullable else kind
+    with pytest.raises(ConfigError, match="boolean"):
+        cli_io.parse_quantity(flag, kind, "p")
+    if nullable:
+        assert cli_io.parse_quantity(None, kind, "p") is None
+    else:
+        with pytest.raises(ConfigError, match="required"):
+            cli_io.parse_quantity(None, kind, "p")
 
 
 def test_unknown_unit_error_names_alternatives():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import passagelab as pl
+from passagelab import passage, propagator
 from passagelab.core import HBAR
 
 from conftest import toy_config
@@ -99,12 +100,20 @@ def test_weak_detector_warns(toy_particle, toy_packet):
         pl.arrival_stage(cfg)
 
 
-def test_explicit_entry_grid_must_cover_detections(toy_particle, toy_packet):
-    cfg = toy_config(
-        toy_particle, toy_packet, entry_time_grid=np.linspace(3.9e-4, 4.1e-4, 16)
-    )
-    with pytest.raises(pl.ConfigError):
-        pl.arrival_stage(cfg)
+def test_arrival_stage_propagates_once(toy_particle, toy_packet, monkeypatch):
+    # the record pass holds detector 1's slices: no second pass for the states
+    calls = []
+    evolve = propagator._evolve_batch
+
+    def counting(kernel, batch):
+        calls.append(batch.n_steps)
+        evolve(kernel, batch)
+
+    monkeypatch.setattr(propagator, "_evolve_batch", counting)
+    # also catch a kernel call through a name imported into passage
+    monkeypatch.setattr(passage, "_evolve_batch", counting, raising=False)
+    record, _ = pl.arrival_stage(toy_config(toy_particle, toy_packet))
+    assert calls == [len(record.times) - 1]
 
 
 def test_ensemble_bookkeeping(toy_run):

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import passagelab as pl
+from passagelab import passage, precision, propagator
 from passagelab.exceptions import ConfigError, ConvergenceError
+
+from conftest import toy_config
 
 CES_D = 100e-6
 CES_V0 = 7.17e-3
@@ -186,30 +189,58 @@ def test_convergence_probe_rejects_width_drift(cesium, monkeypatch):
     cfg = pl.sweep_point_config(CES_V0, CES_D, cesium)
     base_n = cfg.grid.n_points
 
-    def fake_arrival(c):
+    def fake_record(c):
         t = np.linspace(0.0, 1.0, 2001)
         width = 0.10 if c.grid.n_points == base_n else 0.11
         w1 = np.exp(-0.5 * ((t - 0.5) / width) ** 2)
-        return (
-            pl.DetectionRecord(
-                times=t,
-                survival_p0=np.ones_like(t),
-                density_w1=w1,
-                cumulative_detected=np.zeros_like(t),
-            ),
-            None,
+        return pl.DetectionRecord(
+            times=t,
+            survival_p0=np.ones_like(t),
+            density_w1=w1,
+            cumulative_detected=np.zeros_like(t),
         )
 
-    monkeypatch.setattr("passagelab.precision.arrival_stage", fake_arrival)
+    # the coarse run goes through arrival_stage, the refined one is record-only
+    monkeypatch.setattr(
+        "passagelab.precision.arrival_stage", lambda c: (fake_record(c), None)
+    )
+    monkeypatch.setattr(
+        "passagelab.precision._arrival_pass", lambda c: (fake_record(c), None, None)
+    )
     with pytest.raises(ConvergenceError):
         pl.convergence_probe(cfg)
     # and must stay quiet when refinement leaves the width alone
     monkeypatch.setattr(
-        "passagelab.precision.arrival_stage",
-        lambda c: fake_arrival(cfg),
+        "passagelab.precision._arrival_pass", lambda c: (fake_record(cfg), None, None)
     )
     drift_mean, drift_std = pl.convergence_probe(cfg)
     assert drift_std == pytest.approx(0.0, abs=1e-15)
+
+
+def test_refined_probe_run_holds_no_states(toy_particle, toy_packet, monkeypatch):
+    # the probe's dt/2, 2n run needs only its record: one pass, no ensemble
+    held, built = [], []
+    evolve = propagator._evolve_batch
+
+    def counting_evolve(kernel, batch):
+        held.append(getattr(batch, "held", np.empty(0)).size > 0)
+        evolve(kernel, batch)
+
+    ensemble = passage.ResetEnsemble
+
+    def counting_ensemble(**fields):
+        built.append(fields["states"].shape)
+        return ensemble(**fields)
+
+    monkeypatch.setattr(propagator, "_evolve_batch", counting_evolve)
+    monkeypatch.setattr(passage, "_evolve_batch", counting_evolve, raising=False)
+    monkeypatch.setattr(passage, "ResetEnsemble", counting_ensemble)
+    cfg = toy_config(toy_particle, toy_packet)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.RegimeWarning)
+        _, _, probed = precision._probe(cfg, rel_tol=1.0)
+    assert held == [True, False]  # the coarse run, then the refined one
+    assert built == [probed.states.shape]
 
 
 def test_scaling_sweep_input_validation(cesium):
@@ -246,17 +277,16 @@ def test_scaling_sweep_reuses_probed_reset_ensemble(cesium, monkeypatch):
     probed = object()
     arrivals = []
 
-    def fake_arrival(c):
+    def fake_record(c):
         arrivals.append(c.grid.n_points)
         t = np.linspace(0.0, 1.0, 2001)
         w1 = np.exp(-0.5 * ((t - 0.5) / 0.1) ** 2)
-        record = pl.DetectionRecord(
+        return pl.DetectionRecord(
             times=t,
             survival_p0=np.ones_like(t),
             density_w1=w1,
             cumulative_detected=np.zeros_like(t),
         )
-        return record, probed
 
     seen = []
 
@@ -265,7 +295,12 @@ def test_scaling_sweep_reuses_probed_reset_ensemble(cesium, monkeypatch):
         v0 = cfg.packet.mean_velocity_v0
         return SimpleNamespace(std_tau=1e-3 * (7e-3 / v0) ** 1.5, total_probability=0.99)
 
-    monkeypatch.setattr("passagelab.precision.arrival_stage", fake_arrival)
+    monkeypatch.setattr(
+        "passagelab.precision.arrival_stage", lambda c: (fake_record(c), probed)
+    )
+    monkeypatch.setattr(
+        "passagelab.precision._arrival_pass", lambda c: (fake_record(c), None, None)
+    )
     monkeypatch.setattr("passagelab.precision.passage_distribution", fake_passage)
     res = pl.scaling_sweep(np.array([10e-3, 3e-3]), CES_D, cesium)
     assert len(arrivals) == 2  # the probe's coarse and fine runs
