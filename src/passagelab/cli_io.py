@@ -367,6 +367,8 @@ def _cmd_passage(conf: dict, out: Path, args: argparse.Namespace) -> dict:
         "detection_probability_1": ensemble.p_detected_1,
         "arrival_peak_seconds": peak_time(record),
         "entry_grid_size": int(len(ensemble.entry_times)),
+        "kept_rank": dist.kept_rank,
+        "discarded_power": dist.discarded_power,
     }
 
 

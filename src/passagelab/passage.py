@@ -9,7 +9,9 @@ squared norms are w1^(1)(T). Because w1 is quadratic in the state, the entry
 quadrature sum_T c_T w1^(2)(tau; psi_T) is evaluated exactly (up to a spectral
 cutoff) on the singular vectors of the weighted snapshot matrix
 sqrt(c_T) psi_T, which compresses hundreds of entry times into a few dozen
-propagated states.
+propagated states. The reset states vanish outside detector 1, so the matrix
+is decomposed on the span of its non-zero columns only; the zero columns
+change no singular value or vector.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .core import (
     gaussian_free_state,
 )
 from .detector import DetectorSpec, RectangularProfile
-from .exceptions import ConfigError, NoDetectionError, RegimeWarning
+from .exceptions import ConfigError, GridError, NoDetectionError, RegimeWarning
 from .propagator import DetectionRecord, _conditional, _evolve_rows, _kernel
 
 __all__ = [
@@ -122,6 +124,8 @@ class PassageDistribution:
     std_tau: float
     # (probability never detected by either stage, mass left on the grid after stage 2)
     leakage_report: tuple[float, float]
+    kept_rank: int  # singular vectors propagated in stage 2
+    discarded_power: float  # dropped share of the sum of squared singular values
 
 
 def _auto_t_start(cfg: ExperimentConfig) -> float:
@@ -277,12 +281,23 @@ def passage_distribution(
     n_steps = int(round(tau_max / dt2))
     if n_steps < cfg.tau_stride:
         raise ConfigError("tau horizon shorter than one sample stride")
+    width = ensemble.states.shape[1]
+    if width != grid.n_points:
+        raise GridError(
+            f"reset ensemble states have {width} points, the grid {grid.n_points}"
+        )
+    nonzero = np.flatnonzero(np.any(ensemble.states != 0.0, axis=0))
+    if len(nonzero) == 0:
+        raise NoDetectionError("reset ensemble states are zero at every grid point")
 
-    weighted = np.sqrt(ensemble.weights)[:, None] * ensemble.states
+    span = slice(nonzero[0], nonzero[-1] + 1)
+    weighted = np.sqrt(ensemble.weights)[:, None] * ensemble.states[:, span]
     _, svals, vrows = np.linalg.svd(weighted, full_matrices=False)
     power = svals**2
-    keep = power > cfg.svd_keep * float(np.sum(power))
-    basis = svals[keep, None] * vrows[keep]
+    total_power = float(np.sum(power))
+    keep = power > cfg.svd_keep * total_power
+    basis = np.zeros((int(np.count_nonzero(keep)), grid.n_points), dtype=complex)
+    basis[:, span] = svals[keep, None] * vrows[keep]
 
     pot2 = cfg.detector2.potential_field(grid)  # detector 1 is off in stage 2
     steps, w1rows, nsqrows = _evolve_rows(
@@ -310,6 +325,8 @@ def passage_distribution(
         mean_tau=mean,
         std_tau=std,
         leakage_report=(never_detected, residual_2),
+        kept_rank=len(basis),
+        discarded_power=float(np.sum(power[~keep])) / total_power,
     )
 
 

@@ -4,6 +4,8 @@ The scheme is Strang splitting: a half potential factor, a full spectral
 kinetic step, a half potential factor. Interior half factors are merged, so
 the main loop costs two FFTs and one pointwise multiply per step; sampled
 states are closed with the trailing half factor before observables are taken.
+The potential factors are exactly 1 outside the span where the decay rate or
+the shift is non-zero, so the batched kernel multiplies on that span only.
 """
 from __future__ import annotations
 
@@ -112,9 +114,9 @@ class _Kernel:
     """Step factors for one (grid, potential, dt), shared read-only by batches."""
 
     kin: np.ndarray
-    vhalf: np.ndarray
+    support: slice  # the span of grid points where the decay rate or shift is non-zero
+    vhalf: np.ndarray  # the half and full potential factors on that span
     vfull: np.ndarray
-    support: slice  # the span of grid points where the decay rate is non-zero
     decay: np.ndarray  # the decay rate on that span
     dx: float
 
@@ -122,14 +124,14 @@ class _Kernel:
 def _kernel(
     grid: SpatialGrid, particle: ParticleSpec, pot: ComplexPotentialField, dt: float
 ) -> _Kernel:
-    vhalf = _potential_half_factor(pot, dt)
-    nonzero = np.flatnonzero(pot.decay_rate)
+    nonzero = np.flatnonzero((pot.decay_rate != 0.0) | (pot.real_shift != 0.0))
     support = slice(nonzero[0], nonzero[-1] + 1) if len(nonzero) else slice(0, 0)
+    vhalf = _potential_half_factor(pot, dt)[support]
     return _Kernel(
         kin=_kinetic_factor(grid, particle, dt),
+        support=support,
         vhalf=vhalf,
         vfull=vhalf * vhalf,
-        support=support,
         decay=pot.decay_rate[support],
         dx=grid.dx,
     )
@@ -190,28 +192,31 @@ def _evolve_batch(kernel: _Kernel, batch: _Batch) -> None:
     """Evolve batch.amps in place and fill its samples.
 
     The merged-half-step loop keeps the per-step cost at two batched FFTs plus
-    one multiply and allocates nothing. Sampled states are closed with the
-    trailing half factor.
+    one multiply on the potential's span, and allocates nothing. Sampled
+    states are closed with the trailing half factor.
     """
     amps, spec, closed = batch.amps, batch.spec, batch.closed
+    # views of the potential's span, updated in place as amps and closed change
+    amps_on, closed_on = amps[:, kernel.support], closed[:, kernel.support]
     kin, vhalf, vfull = kernel.kin, kernel.vhalf, kernel.vfull
     n_steps, stride = batch.n_steps, batch.sample_stride
     _sample(kernel, batch, amps, 0)
     j = 1
-    amps *= vhalf
+    amps_on *= vhalf
     for s in range(1, n_steps + 1):
         np.fft.fft(amps, axis=-1, out=spec)
         spec *= kin
         np.fft.ifft(spec, axis=-1, out=amps)
         if s % stride == 0 or s == n_steps:
-            np.multiply(amps, vhalf, out=closed)
+            np.copyto(closed, amps)
+            closed_on *= vhalf
             if not np.isfinite(closed.view(float).sum()):
                 raise InstabilityError(f"non-finite amplitudes at step {s}")
             _sample(kernel, batch, closed, j)
             j += 1
         if s < n_steps:
-            amps *= vfull
-    amps *= vhalf
+            amps_on *= vfull
+    amps_on *= vhalf
 
 
 def _evolve_rows(

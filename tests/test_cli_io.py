@@ -208,6 +208,9 @@ def test_passage_subcommand_toy(tmp_path, toy_yaml):
     assert res["total_probability"] > 0.8
     assert res["mean_tau_seconds"] == pytest.approx(80e-6 / 0.05, rel=0.2)
     assert res["entry_grid_size"] == 16
+    # the SVD compression: kept rows and the dropped share of the power
+    assert isinstance(res["kept_rank"], int) and 1 <= res["kept_rank"] <= 16
+    assert 0.0 <= res["discarded_power"] < 16 * 1e-12
     assert (out / "passage.csv").is_file()
     assert any("tau grid captures" in w for w in doc["warnings"])
 

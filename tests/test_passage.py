@@ -189,6 +189,73 @@ def test_distribution_identical_for_any_chunk_count(toy_run, monkeypatch):
         assert dist.leakage_report == ref.leakage_report
 
 
+def test_ensemble_width_must_match_grid(toy_run):
+    ens = replace(toy_run["ensemble"], states=toy_run["ensemble"].states[:, :-1])
+    with pytest.raises(pl.GridError):
+        pl.passage_distribution(toy_run["cfg"], ens)
+
+
+def test_all_zero_ensemble_raises_before_decomposition(toy_run, monkeypatch):
+    ens = replace(toy_run["ensemble"], states=np.zeros_like(toy_run["ensemble"].states))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("decomposed an all-zero ensemble")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(pl.NoDetectionError, match="reset ensemble states are zero"):
+        pl.passage_distribution(toy_run["cfg"], ens)
+
+
+def test_svd_runs_on_the_nonzero_span(toy_run, monkeypatch):
+    cfg, ens = replace(toy_run["cfg"], dt2=1e-6), toy_run["ensemble"]
+    cols = np.flatnonzero(np.any(ens.states != 0.0, axis=0))
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.RegimeWarning)
+        dist = pl.passage_distribution(cfg, ens)
+    assert shapes == [(len(ens.states), cols[-1] + 1 - cols[0])]
+    assert shapes[0][1] < cfg.grid.n_points
+    assert 1 <= dist.kept_rank <= len(ens.states)
+    assert 0.0 <= dist.discarded_power < len(ens.states) * cfg.svd_keep
+
+
+def test_off_detector_weight_matches_full_width_svd(toy_run):
+    # a hand-built ensemble with weight upstream of detector 1: G must match
+    # the decomposition of the full-width weighted matrix
+    cfg, base = replace(toy_run["cfg"], dt2=1e-6), toy_run["ensemble"]
+    x = cfg.grid.x
+    upstream = (x >= -10e-6) & (x < 5e-6)
+    bump = np.exp(-((x / 3e-6) ** 2) + 1j * 3e5 * x) * upstream
+    states = base.states + 0.2 * np.sqrt(base.norms_sq)[:, None] * bump
+    ens = replace(base, states=states)
+    assert np.any(states[:, upstream] != 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.RegimeWarning)
+        dist = pl.passage_distribution(cfg, ens)
+
+    weighted = np.sqrt(ens.weights)[:, None] * states
+    _, svals, vrows = np.linalg.svd(weighted, full_matrices=False)
+    power = svals**2
+    keep = power > cfg.svd_keep * float(np.sum(power))
+    kernel = propagator._kernel(
+        cfg.grid, cfg.particle, cfg.detector2.potential_field(cfg.grid), cfg.dt2
+    )
+    n_steps = int(round(dist.tau[-1] / cfg.dt2))
+    _, w1rows, _ = propagator._evolve_rows(
+        kernel, svals[keep, None] * vrows[keep], n_steps, cfg.tau_stride
+    )
+    g_ref = np.sum(w1rows, axis=0)
+    assert dist.kept_rank == int(np.count_nonzero(keep))
+    assert np.max(np.abs(dist.g_tau - g_ref)) <= 1e-12 * np.max(g_ref)
+
+
 def test_entry_grid_refinement_invariance(toy_particle, toy_packet):
     outs = []
     for n_entry in (64, 128):

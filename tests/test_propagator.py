@@ -193,6 +193,46 @@ def test_batch_row_bits_do_not_depend_on_batch():
         assert np.array_equal(alone.amps[0], full.amps[i])
 
 
+def test_kernel_steps_on_the_span_of_decay_or_shift():
+    # a shift where the decay rate is zero: the kernel's span must cover it,
+    # and multiplying on that span only gives the full-width loop's bits
+    particle, grid, pot, rows = _detector_rows(3)
+    shift = np.zeros(grid.n_points)
+    shift[100:140] = 3e3  # upstream of the detector, where decay is zero
+    pot = pl.ComplexPotentialField(grid, decay_rate=pot.decay_rate, real_shift=shift)
+    dt, n_steps, stride = 1e-6, 30, 4
+    kernel = _kernel(grid, particle, pot, dt)
+    span = np.flatnonzero((pot.decay_rate != 0.0) | (shift != 0.0))
+    on = slice(span[0], span[-1] + 1)
+    assert np.all(pot.decay_rate[100:140] == 0.0)
+    assert kernel.support == on and on.start <= 100 and on.stop >= 140
+
+    batch = _Batch(rows, n_steps, stride)
+    _evolve_batch(kernel, batch)
+
+    vhalf = np.exp(-(pot.decay_rate + 1j * shift) * (dt * 0.25))
+    amps = rows.astype(complex)
+    w1, nsq = [], []
+
+    def sample(closed):
+        dens = np.abs(closed) ** 2
+        nsq.append(np.sum(dens, axis=-1) * grid.dx)
+        w1.append(np.sum(dens[:, on] * pot.decay_rate[on], axis=-1) * grid.dx)
+
+    sample(amps)
+    amps = amps * vhalf
+    for s in range(1, n_steps + 1):
+        amps = np.fft.ifft(np.fft.fft(amps, axis=-1) * kernel.kin, axis=-1)
+        if s % stride == 0 or s == n_steps:
+            sample(amps * vhalf)
+        if s < n_steps:
+            amps = amps * (vhalf * vhalf)
+    amps = amps * vhalf
+    assert np.array_equal(batch.amps, amps)
+    assert np.array_equal(batch.w1, np.array(w1).T)
+    assert np.array_equal(batch.nsq, np.array(nsq).T)
+
+
 def test_pool_created_once_under_concurrent_first_use(monkeypatch):
     monkeypatch.setattr(propagator, "_POOL", None)
     seen = []
