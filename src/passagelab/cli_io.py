@@ -98,11 +98,7 @@ SCHEMA = {
         "tau_max": ("time?", None),
         "tau_stride": ("int", 10),
     },
-    "entry_grid": {
-        "n": ("int", 256),
-        "quantile_lo": ("float", 5e-4),
-        "quantile_hi": ("float", 0.9995),
-    },
+    "entry_grid": {"n": ("int", 256)},
     "bath": {
         "n_modes": ("int", 15),
         "omega_0": ("frequency", 2.38e12),
@@ -134,7 +130,6 @@ SCHEMA = {
         "v0_max": ("velocity", 30e-3),
         "n_points": ("int", 7),
         "distance": ("length", 100e-6),
-        "n_entry": ("int", 256),
     },
 }
 
@@ -235,7 +230,6 @@ def build_experiment(conf: dict) -> ExperimentConfig:
 
     g = conf["grid"]
     s = conf["solver"]
-    e = conf["entry_grid"]
     return ExperimentConfig(
         particle=_particle(conf),
         packet=_packet(conf["packet"]),
@@ -246,9 +240,7 @@ def build_experiment(conf: dict) -> ExperimentConfig:
         dt2=s["dt2"],
         t_start=s["t_start"],
         t_end1=s["t_end1"],
-        n_entry=e["n"],
-        entry_quantile_lo=e["quantile_lo"],
-        entry_quantile_hi=e["quantile_hi"],
+        n_entry=conf["entry_grid"]["n"],
         tau_max=s["tau_max"],
         tau_stride=s["tau_stride"],
     )
@@ -459,19 +451,15 @@ def _cmd_precision_sweep(conf: dict, out: Path, args: argparse.Namespace) -> dic
     sw = conf["sweep"]
     particle = _particle(conf)
     v0s = np.geomspace(sw["v0_min"], sw["v0_max"], sw["n_points"])
-    if args.threads > 1:
-        pool = ThreadPoolExecutor(max_workers=args.threads)
-        mapper = pool.map
-    else:
-        pool = None
-        mapper = map
-    try:
+    # one worker runs the points in order; each point's bits are thread-free
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         result = scaling_sweep(
-            v0s, sw["distance"], particle, n_entry=sw["n_entry"], mapper=mapper
+            v0s,
+            sw["distance"],
+            particle,
+            n_entry=conf["entry_grid"]["n"],
+            mapper=pool.map,
         )
-    finally:
-        if pool is not None:
-            pool.shutdown()
     _write_csv(
         out / "precision_sweep.csv",
         ["v0_m_per_s", "energy_joules", "std_tau_seconds", "delta_tau_opt_seconds"],

@@ -30,7 +30,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RectangularProfile:
-    """chi = 1 on [a, b), 0 elsewhere. Left-closed so a grid-aligned edge point counts."""
+    """chi = 1 on [a, b), 0 elsewhere. Left-closed so a grid-aligned edge point counts.
+
+    A grid point within 1e-6 dx of an edge is on it: dx = (x_max - x_min)/n
+    rounds, so an edge placed on a grid point can miss it by an ulp.
+    """
 
     a: float
     b: float
@@ -40,8 +44,8 @@ class RectangularProfile:
             raise ConfigError(f"rectangular profile needs b > a, got [{self.a}, {self.b}]")
 
     def chi(self, grid: SpatialGrid) -> np.ndarray:
-        x = grid.x
-        return ((x >= self.a) & (x < self.b)).astype(float)
+        x, tol = grid.x, 1e-6 * grid.dx
+        return ((x >= self.a - tol) & (x < self.b - tol)).astype(float)
 
 
 @dataclass(frozen=True)

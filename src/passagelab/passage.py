@@ -45,6 +45,8 @@ __all__ = [
 _CAPTURE_TARGET = 0.999
 _MIN_DETECTION = 0.9
 _KIJOWSKI_BLOCK_BYTES = 4_000_000
+# detection-probability quantiles spanned by the entry grid
+_ENTRY_WINDOW = (5e-4, 0.9995)
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,6 @@ class ExperimentConfig:
     t_start: float | None = None
     t_end1: float | None = None
     n_entry: int = 256
-    entry_quantile_lo: float = 5e-4
-    entry_quantile_hi: float = 0.9995
     tau_max: float | None = None
     tau_stride: int = 10
     svd_keep: float = 1e-12
@@ -91,8 +91,6 @@ class ExperimentConfig:
             raise ConfigError(f"tau_stride must be >= 1, got {self.tau_stride}")
         if self.n_entry < 2:
             raise ConfigError("n_entry must be >= 2")
-        if not 0.0 < self.entry_quantile_lo < self.entry_quantile_hi < 1.0:
-            raise ConfigError("entry quantiles must satisfy 0 < lo < hi < 1")
         if self.tau_max is not None and self.tau_max <= 0.0:
             raise ConfigError(f"tau_max must be positive, got {self.tau_max}")
 
@@ -128,26 +126,19 @@ class PassageDistribution:
     discarded_power: float  # dropped share of the sum of squared singular values
 
 
-def _auto_t_start(cfg: ExperimentConfig) -> float:
-    """Fixed point of |t| = 6 sigma(t)/v0 behind detector 1's leading edge."""
-    v0 = cfg.packet.mean_velocity_v0
+def _edge_crossing_time(
+    packet: GaussianPacketSpec, particle: ParticleSpec, edge: float, side: float
+) -> float:
+    """Time the packet centre is six spreading widths before (side = -1) or
+    past (side = +1) edge: the fixed point of t = (edge + side 6 sigma(t) - x0)/v0.
+    """
+    v0 = packet.mean_velocity_v0
     if v0 <= 0.0:
-        raise ConfigError("auto t_start needs a positive mean velocity")
-    a1 = cfg.detector1.profile.a
-    t = (a1 - 6.0 * cfg.packet.sigma_x - cfg.packet.center_x0) / v0
+        raise ConfigError("auto t_start and t_end1 need a positive mean velocity")
+    t = (edge + side * 6.0 * packet.sigma_x - packet.center_x0) / v0
     for _ in range(12):
-        sig = free_sigma_x(cfg.packet, cfg.particle, t)
-        t = (a1 - 6.0 * sig - cfg.packet.center_x0) / v0
-    return min(t, 0.0)
-
-
-def _auto_t_end1(cfg: ExperimentConfig) -> float:
-    v0 = cfg.packet.mean_velocity_v0
-    b1 = cfg.detector1.profile.b
-    t = (b1 - cfg.packet.center_x0 + 6.0 * cfg.packet.sigma_x) / v0
-    for _ in range(12):
-        sig = free_sigma_x(cfg.packet, cfg.particle, t)
-        t = (b1 - cfg.packet.center_x0 + 6.0 * sig) / v0
+        sig = free_sigma_x(packet, particle, t)
+        t = (edge + side * 6.0 * sig - packet.center_x0) / v0
     return t
 
 
@@ -176,9 +167,12 @@ def _arrival_pass(
     det1 = cfg.detector1
     if det1.decay_a == 0.0:
         raise NoDetectionError("detector 1 has A = 0: no detection")
-    particle, grid = cfg.particle, cfg.grid
-    t_start = cfg.t_start if cfg.t_start is not None else _auto_t_start(cfg)
-    t_end = cfg.t_end1 if cfg.t_end1 is not None else _auto_t_end1(cfg)
+    particle, grid, packet = cfg.particle, cfg.grid, cfg.packet
+    t_start, t_end = cfg.t_start, cfg.t_end1
+    if t_start is None:
+        t_start = min(_edge_crossing_time(packet, particle, det1.profile.a, -1.0), 0.0)
+    if t_end is None:
+        t_end = _edge_crossing_time(packet, particle, det1.profile.b, 1.0)
     if t_end <= t_start:
         raise ConfigError(f"t_end1 {t_end} must exceed t_start {t_start}")
     n_steps = int(round((t_end - t_start) / cfg.dt))
@@ -187,7 +181,7 @@ def _arrival_pass(
             f"detection window {t_end - t_start:.3e} s is shorter than one step"
         )
     kernel = _kernel(grid, particle, det1.potential_field(grid), cfg.dt)
-    psi0 = gaussian_free_state(cfg.packet, particle, t_start, grid)
+    psi0 = gaussian_free_state(packet, particle, t_start, grid)
     _, record, held = _conditional(
         kernel, psi0, n_steps, cfg.dt, kernel.support if hold else slice(0, 0)
     )
@@ -221,7 +215,7 @@ def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble
     p_detected = float(cum[-1])
 
     # entry grid: quantiles of the detection distribution, snapped to steps
-    q = np.linspace(cfg.entry_quantile_lo, cfg.entry_quantile_hi, cfg.n_entry)
+    q = np.linspace(*_ENTRY_WINDOW, cfg.n_entry)
     t_entry = np.interp(q * p_detected, cum, times)
     idx = np.unique(np.round((t_entry - t_start) / cfg.dt).astype(int))
     idx = idx[(idx > 0) & (idx <= n_steps)]
@@ -330,6 +324,17 @@ def passage_distribution(
     )
 
 
+def _check_forward_packet(
+    packet: GaussianPacketSpec, particle: ParticleSpec, invalid: str
+) -> None:
+    """ConfigError unless the packet's negative-momentum mass is at most 1e-6."""
+    sigma_p = particle.hbar / (2.0 * packet.sigma_x)
+    p0 = particle.mass * packet.mean_velocity_v0
+    neg_mass = 0.5 * erfc(p0 / (sigma_p * np.sqrt(2.0)))
+    if neg_mass > 1e-6:
+        raise ConfigError(f"negative-momentum mass {neg_mass:.2e} exceeds 1e-6; {invalid}")
+
+
 def classical_passage(
     packet: GaussianPacketSpec,
     particle: ParticleSpec,
@@ -345,14 +350,10 @@ def classical_passage(
         raise ConfigError("classical passage needs tau > 0")
     if d <= 0.0:
         raise ConfigError("distance d must be positive")
+    _check_forward_packet(packet, particle, "classical map invalid")
     m = particle.mass
     p0 = m * packet.mean_velocity_v0
     sigma_p = particle.hbar / (2.0 * packet.sigma_x)
-    neg_mass = 0.5 * erfc(p0 / (sigma_p * np.sqrt(2.0)))
-    if neg_mass > 1e-6:
-        raise ConfigError(
-            f"negative-momentum mass {neg_mass:.2e} exceeds 1e-6; classical map invalid"
-        )
     p = m * d / tau
     dens_p = np.exp(-((p - p0) ** 2) / (2.0 * sigma_p**2)) / (
         np.sqrt(2.0 * np.pi) * sigma_p
@@ -372,15 +373,11 @@ def kijowski_distribution(
     Pi_K(t) = hbar/(2 pi m) |int_0^inf dk sqrt(k) phi(k) e^{i k x - i hbar k^2 t/2m}|^2,
     evaluated by quadrature over the packet's analytic momentum amplitude.
     """
+    _check_forward_packet(packet, particle, "positive-k form invalid")
     t = np.asarray(t_grid, dtype=float).ravel()
     m, hb = particle.mass, particle.hbar
     k0 = m * packet.mean_velocity_v0 / hb
     sk = 1.0 / (2.0 * packet.sigma_x)
-    neg_mass = 0.5 * erfc(k0 / (sk * np.sqrt(2.0)))
-    if neg_mass > 1e-6:
-        raise ConfigError(
-            f"negative-momentum mass {neg_mass:.2e} exceeds 1e-6; positive-k form invalid"
-        )
     k_lo = max(k0 - 9.0 * sk, 0.0)
     k = np.linspace(k_lo, k0 + 9.0 * sk, n_k)
     dk = k[1] - k[0]

@@ -22,6 +22,7 @@ from .passage import (
     ExperimentConfig,
     ResetEnsemble,
     _arrival_pass,
+    _edge_crossing_time,
     _moments,
     arrival_stage,
     passage_distribution,
@@ -128,10 +129,8 @@ def sweep_point_config(
         center_x0=0.0, sigma_x=plan.delta_x_opt, mean_velocity_v0=v0
     )
     # start position after the six-spreading-widths rule, with tail room
-    t_start = -6.0 * plan.delta_x_opt / v0
-    for _ in range(12):
-        sig = free_sigma_x(packet, particle, t_start)
-        t_start = -6.0 * sig / v0
+    t_start = _edge_crossing_time(packet, particle, 0.0, -1.0)
+    sig = free_sigma_x(packet, particle, t_start)
     sigma_v = particle.hbar / (2.0 * particle.mass * plan.delta_x_opt)
     k_need = particle.mass * max(2.0 * v0, v0 + 15.0 * sigma_v) / particle.hbar
     # snap all sharp detector edges onto grid points (and keep them there

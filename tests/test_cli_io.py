@@ -1,6 +1,8 @@
 """Config parsing, CSV/JSON emission, and exit codes of the command line."""
+import inspect
 import json
 import py_compile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -128,6 +130,26 @@ def test_load_config_unknown_key_reports_dotted_path(tmp_path):
     p.write_text("solver: {dt: 1e-7, dt_two: 1e-7}\n")
     with pytest.raises(ConfigError, match="solver.dt_two"):
         cli_io.load_config(str(p))
+
+
+@pytest.mark.parametrize("path", ["entry_grid.quantile_lo", "sweep.n_entry"])
+def test_removed_entry_keys_give_exit_2(tmp_path, capsys, path):
+    # the entry window is fixed and entry_grid.n is the one entry-grid size
+    section, key = path.split(".")
+    p = tmp_path / "old.yaml"
+    p.write_text(f"{section}: {{{key}: 64}}\n")
+    assert cli_io.main(["arrival", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert f"unknown key: {path}" in capsys.readouterr().err
+
+
+def test_schema_defaults_match_the_library():
+    # these defaults are written twice: in SCHEMA and in the library signatures
+    defaults = {f.name: f.default for f in fields(pl.ExperimentConfig)}
+    assert cli_io.SCHEMA["solver"]["tau_stride"][1] == defaults["tau_stride"]
+    n_entry = cli_io.SCHEMA["entry_grid"]["n"][1]
+    assert n_entry == defaults["n_entry"]
+    for fn in (pl.sweep_point_config, pl.scaling_sweep):
+        assert inspect.signature(fn).parameters["n_entry"].default == n_entry
 
 
 def test_load_config_missing_file():
@@ -289,6 +311,7 @@ def test_precision_sweep_emission_with_stub(tmp_path, monkeypatch):
 
     def fake_sweep(v0s, d, particle, n_entry, mapper):
         captured["mapper"] = mapper
+        captured["n_entry"] = n_entry
         v0s = np.sort(np.asarray(v0s))
         e = 0.5 * particle.mass * v0s**2
         return pl.SweepResult(
@@ -301,9 +324,13 @@ def test_precision_sweep_emission_with_stub(tmp_path, monkeypatch):
         )
 
     monkeypatch.setattr(cli_io, "scaling_sweep", fake_sweep)
+    conf = tmp_path / "sweep.yaml"
+    conf.write_text("entry_grid: {n: 32}\n")
     out = tmp_path / "sweep"
-    assert cli_io.main(["precision-sweep", "--threads", "2", "--out", str(out)]) == 0
+    argv = ["precision-sweep", "--threads", "2", "--config", str(conf), "--out", str(out)]
+    assert cli_io.main(argv) == 0
     assert captured["mapper"] is not map  # thread pool map was wired in
+    assert captured["n_entry"] == 32  # entry_grid.n sizes the sweep's entry grids
     doc = json.loads((out / "precision_sweep_summary.json").read_text())
     assert doc["results"]["exponent"] == -0.75
     ref = doc["results"]["reference_plan_v0_7.17mm_s"]

@@ -55,8 +55,6 @@ def test_config_scalar_validation(toy_particle, toy_packet):
     with pytest.raises(pl.ConfigError):
         toy_config(toy_particle, toy_packet, tau_stride=0)
     with pytest.raises(pl.ConfigError):
-        toy_config(toy_particle, toy_packet, entry_quantile_lo=0.9, entry_quantile_hi=0.1)
-    with pytest.raises(pl.ConfigError):
         toy_config(toy_particle, toy_packet, n_entry=1)
 
 

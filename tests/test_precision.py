@@ -169,6 +169,29 @@ def test_sweep_point_config_geometry(cesium):
     assert cfg.dt <= 1e-6
 
 
+@pytest.mark.parametrize("v0", [2.98e-3, 3.0e-3, np.geomspace(3e-3, 30e-3, 7)[2]])
+def test_sweep_detectors_hold_whole_grid_cells(cesium, v0):
+    # edges snapped onto grid points stay on them when dx = span/n rounds, so
+    # both detectors cover the same cells, and twice as many under 2n refinement
+    cfg = pl.sweep_point_config(v0, CES_D, cesium)
+    g = cfg.grid
+    fine = pl.build_grid(g.x_min, g.x_max, 2 * g.n_points)
+    n = round((cfg.detector1.profile.b - cfg.detector1.profile.a) / g.dx)
+    for det in (cfg.detector1, cfg.detector2):
+        assert int(det.profile.chi(g).sum()) == n
+        assert int(det.profile.chi(fine).sum()) == 2 * n
+
+
+def test_convergence_probe_passes_near_slowest_sweep_point(cesium):
+    # an edge an ulp off its grid point must not make the refined detector
+    # half a cell shorter, which reads as a width drift of 1.8e-3 here
+    cfg = pl.sweep_point_config(3.01e-3, CES_D, cesium)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.RegimeWarning)
+        _, drift_std = pl.convergence_probe(cfg)
+    assert drift_std <= 1e-3
+
+
 def test_sweep_point_grid_resolves_packet_momentum(cesium):
     for v0 in (3e-3, 30e-3):
         cfg = pl.sweep_point_config(v0, CES_D, cesium)
