@@ -10,6 +10,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import erfc, sqrt
 
 import numpy as np
 
@@ -19,12 +20,19 @@ HBAR = 1.054571817e-34  # J s
 CESIUM_MASS = 2.2069e-25  # kg
 
 _TAIL_TOL = 1e-10
+# working-set budget of one block of complex rows (kijowski chirp, oracle nodes)
+_BLOCK_BYTES = 4_000_000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _block_rows(n_cols: int) -> int:
+    """Rows of n_cols complex values that fit one _BLOCK_BYTES block."""
+    return max(1, _BLOCK_BYTES // (16 * n_cols))
 
 
 @dataclass(frozen=True)
@@ -135,6 +143,47 @@ def free_sigma_x(packet: GaussianPacketSpec, particle: ParticleSpec, t: float) -
     return s0 * np.sqrt(1.0 + (particle.hbar * t / (2.0 * particle.mass * s0 * s0)) ** 2)
 
 
+def _tail_gate(
+    packet: GaussianPacketSpec, particle: ParticleSpec, t: float, grid: SpatialGrid
+) -> None:
+    """Raise GridTooNarrowError if the packet's tail mass outside the grid at t
+    exceeds _TAIL_TOL."""
+    center = packet.center_x0 + packet.mean_velocity_v0 * t
+    sig_t = free_sigma_x(packet, particle, t)
+    tail = 0.5 * erfc((center - grid.x_min) / (sig_t * sqrt(2.0))) + 0.5 * erfc(
+        (grid.x_max - center) / (sig_t * sqrt(2.0))
+    )
+    if tail > _TAIL_TOL:
+        raise GridTooNarrowError(
+            f"packet tail mass {tail:.2e} outside grid [{grid.x_min}, {grid.x_max}] "
+            f"exceeds {_TAIL_TOL}"
+        )
+
+
+def _free_packet(
+    packet: GaussianPacketSpec, particle: ParticleSpec, t: float | np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Closed-form free packet at the points x: t is a scalar, or a column of
+    times (shape (B, 1)) giving one row per time."""
+    m, hb = particle.mass, particle.hbar
+    s0 = packet.sigma_x
+    k0 = m * packet.mean_velocity_v0 / hb
+    # the time terms are real until multiplied by 1j: numpy divides a complex
+    # array by a real through its reciprocal, Python complex arithmetic does
+    # not, and this form rounds a column of times exactly like a scalar time
+    alpha = 1.0 + 1j * (hb * t / (2.0 * m * s0 * s0))
+    xc = x - packet.center_x0 - packet.mean_velocity_v0 * t
+    return (
+        (2.0 * np.pi * s0 * s0) ** -0.25
+        / np.sqrt(alpha)
+        * np.exp(
+            -xc * xc / (4.0 * s0 * s0 * alpha)
+            + 1j * k0 * (x - packet.center_x0)
+            - 1j * (hb * k0 * k0 * t / (2.0 * m))
+        )
+    )
+
+
 def gaussian_free_state(
     packet: GaussianPacketSpec,
     particle: ParticleSpec,
@@ -146,34 +195,8 @@ def gaussian_free_state(
     At t=0 this is the defining Gaussian with std sigma_x, mean velocity v0.
     Raises GridTooNarrowError if the truncated tail probability exceeds 1e-10.
     """
-    m, hb = particle.mass, particle.hbar
-    s0 = packet.sigma_x
-    k0 = m * packet.mean_velocity_v0 / hb
-    center = packet.center_x0 + packet.mean_velocity_v0 * t
-    sig_t = free_sigma_x(packet, particle, t)
-    # Gaussian tail mass outside [x_min, x_max]
-    from math import erfc, sqrt
-
-    tail = 0.5 * erfc((center - grid.x_min) / (sig_t * sqrt(2.0))) + 0.5 * erfc(
-        (grid.x_max - center) / (sig_t * sqrt(2.0))
-    )
-    if tail > _TAIL_TOL:
-        raise GridTooNarrowError(
-            f"packet tail mass {tail:.2e} outside grid [{grid.x_min}, {grid.x_max}] "
-            f"exceeds {_TAIL_TOL}"
-        )
-    x = grid.x
-    alpha = 1.0 + 1j * hb * t / (2.0 * m * s0 * s0)
-    xc = x - packet.center_x0 - packet.mean_velocity_v0 * t
-    amps = (
-        (2.0 * np.pi * s0 * s0) ** -0.25
-        / np.sqrt(alpha)
-        * np.exp(
-            -xc * xc / (4.0 * s0 * s0 * alpha)
-            + 1j * k0 * (x - packet.center_x0)
-            - 1j * hb * k0 * k0 * t / (2.0 * m)
-        )
-    )
+    _tail_gate(packet, particle, t, grid)
+    amps = _free_packet(packet, particle, t, grid.x)
     return WaveFunction(grid=grid, amplitudes=amps, time=t)
 
 

@@ -6,8 +6,13 @@ The detected-state density after one observation window delta_t is
     S_l(x) = int_0^delta_t dt e^{i(w_l-w0)t} [U(delta_t-t) Theta U(t) psi](x),
 
 with U free propagation and Theta the projector onto x >= 0. The quadrature
-accumulates in momentum space: one FFT per time node, one inverse FFT per
-mode at the end, with a fixed summation order so results are reproducible.
+accumulates in momentum space, a block of time nodes at a time: the closed-form
+packet on the grid points x >= 0 for every node of the block, one batched FFT,
+the back-propagation phase, and one (modes x nodes) @ (nodes x points)
+product into the accumulator. One inverse FFT per mode follows at the end.
+The blocks depend on the grid size alone and hold at most 64 nodes, so every
+product sums in the same order, and the output is bit-for-bit the same, for
+any BLAS thread count.
 """
 from __future__ import annotations
 
@@ -19,7 +24,9 @@ from .core import (
     GaussianPacketSpec,
     ParticleSpec,
     SpatialGrid,
-    WaveFunction,
+    _block_rows,
+    _free_packet,
+    _tail_gate,
     gaussian_free_state,
 )
 from .detector import DiscreteBathSpec
@@ -35,6 +42,10 @@ __all__ = [
 ]
 
 _MIN_SAMPLES_PER_PERIOD = 20
+# nodes per block: the shared byte budget, but at most 64. OpenBLAS sums an
+# inner dimension above 128 in a different order on one thread than on
+# several, and the accumulated density would then depend on the thread count.
+_MAX_BLOCK_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -47,6 +58,10 @@ class DiscreteResetConfig:
     def __post_init__(self) -> None:
         if self.delta_t <= 0.0:
             raise ConfigError(f"delta_t must be positive, got {self.delta_t}")
+        if self.n_time_samples < 2:
+            raise ConfigError(
+                f"n_time_samples must be >= 2 (trapezoid nodes), got {self.n_time_samples}"
+            )
         # fastest phase in the quadrature integrand
         fastest = abs(self.bath.omega_max - self.bath.omega_0)
         periods = fastest * self.delta_t / (2.0 * np.pi)
@@ -86,11 +101,12 @@ def discrete_reset_density(
     """Detected-state density of the N-mode model, per unit observation window."""
     bath = cfg.bath
     hb, m = particle.hbar, particle.mass
-    w_l = bath.mode_frequencies()
+    dw = bath.mode_frequencies() - bath.omega_0
     g_sq = bath.coupling_sq()
     k = grid.k
-    x = grid.x
-    theta = x >= 0.0
+    # Theta keeps the tail x[i0:] of the grid; the other columns stay zero
+    i0 = int(np.searchsorted(grid.x, 0.0))
+    x_pos = grid.x[i0:]
     nt = cfg.n_time_samples
     ts = np.linspace(0.0, cfg.delta_t, nt)
     weights = np.full(nt, cfg.delta_t / (nt - 1))
@@ -98,12 +114,19 @@ def discrete_reset_density(
     weights[-1] *= 0.5
     acc = np.zeros((bath.n_modes, grid.n_points), dtype=complex)
     kin_phase = hb * k * k / (2.0 * m)
-    for t, w in zip(ts, weights):
-        psi_t = gaussian_free_state(cfg.packet, particle, t, grid).amplitudes.copy()
-        psi_t[~theta] = 0.0
-        # back-propagate the projected slice to t=0 in momentum space
-        phi = np.fft.fft(psi_t) * np.exp(1j * kin_phase * t)
-        acc += (w * np.exp(1j * (w_l - bath.omega_0) * t))[:, None] * phi[None, :]
+    block = min(_block_rows(grid.n_points), _MAX_BLOCK_NODES)
+    psi = np.zeros((min(block, nt), grid.n_points), dtype=complex)
+    for start in range(0, nt, block):
+        t = ts[start : start + block]
+        for t_node in t:
+            _tail_gate(cfg.packet, particle, t_node, grid)
+        rows = psi[: len(t)]
+        rows[:, i0:] = _free_packet(cfg.packet, particle, t[:, None], x_pos)
+        # back-propagate the projected slices to t=0 in momentum space
+        phi = np.fft.fft(rows, axis=-1)
+        phi *= np.exp(1j * kin_phase * t[:, None])
+        coeff = weights[start : start + block] * np.exp(1j * dw[:, None] * t)
+        acc += coeff @ phi
     acc *= np.exp(-1j * kin_phase * cfg.delta_t)[None, :]
     s_l = np.fft.ifft(acc, axis=-1)
     dens = np.tensordot(g_sq, np.abs(s_l) ** 2, axes=(0, 0)) / cfg.delta_t

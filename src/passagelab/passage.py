@@ -25,6 +25,7 @@ from .core import (
     GaussianPacketSpec,
     ParticleSpec,
     SpatialGrid,
+    _block_rows,
     free_sigma_x,
     gaussian_free_state,
 )
@@ -44,7 +45,6 @@ __all__ = [
 
 _CAPTURE_TARGET = 0.999
 _MIN_DETECTION = 0.9
-_KIJOWSKI_BLOCK_BYTES = 4_000_000
 # detection-probability quantiles spanned by the entry grid
 _ENTRY_WINDOW = (5e-4, 0.9995)
 
@@ -386,7 +386,7 @@ def kijowski_distribution(
     )
     integrand = np.sqrt(k) * phi * np.exp(1j * k * x)
     # build the (times, k) chirp a block of times at a time, a few MB each
-    block = max(1, _KIJOWSKI_BLOCK_BYTES // (16 * n_k))
+    block = _block_rows(n_k)
     amp = np.empty(len(t), dtype=complex)
     for i in range(0, len(t), block):
         chirp = np.exp(-1j * hb * np.outer(t[i : i + block], k * k) / (2.0 * m))

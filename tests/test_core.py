@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import passagelab as pl
-from passagelab.core import HBAR, CESIUM_MASS
+from passagelab.core import HBAR, CESIUM_MASS, _free_packet
 
 
 def test_grid_spacing_exact():
@@ -90,6 +90,20 @@ def test_gaussian_free_state_carries_spatial_phase():
     phi0 = np.abs(pl.momentum_amplitudes(pl.gaussian_free_state(packet, particle, 0.0, grid)))
     phi1 = np.abs(pl.momentum_amplitudes(pl.gaussian_free_state(packet, particle, 2e-3, grid)))
     assert np.max(np.abs(phi1 - phi0)) / np.max(phi0) < 1e-9
+
+
+def test_free_state_equals_closed_form_on_a_time_column():
+    # the discrete oracle evaluates the closed form for a column of times on
+    # the points x >= 0; each row must be the scalar-time state bit for bit
+    packet = pl.GaussianPacketSpec(center_x0=-1e-6, sigma_x=1e-6, mean_velocity_v0=7.17e-3)
+    particle = pl.cesium()
+    grid = pl.build_grid(-30e-6, 200e-6, 8192)
+    times = [0.0, 4.185e-11, 1.3e-7, 2e-4, 1.7e-3, 6.1e-3]
+    i0 = int(np.searchsorted(grid.x, 0.0))
+    column = _free_packet(packet, particle, np.array(times)[:, None], grid.x[i0:])
+    for t, row in zip(times, column):
+        psi = pl.gaussian_free_state(packet, particle, t, grid)
+        assert np.array_equal(psi.amplitudes[i0:], row)
 
 
 def test_grid_too_narrow_raises():

@@ -1,9 +1,16 @@
 """Discrete-bath reset density against an independent brute-force quadrature
 and against the continuum profile."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import passagelab as pl
+from passagelab.core import _block_rows
+from passagelab.discrete_oracle import _MAX_BLOCK_NODES
 
 OMEGA_0 = 2.38e12
 OMEGA_M = 4.6 * OMEGA_0
@@ -119,6 +126,98 @@ def test_undersampled_time_grid_rejected():
         pl.DiscreteResetConfig(
             bath=_bath(15), packet=packet, delta_t=DELTA_T, n_time_samples=1024
         )
+
+
+@pytest.mark.parametrize("n_time_samples", [1, 0, -3])
+def test_fewer_than_two_time_samples_rejected(n_time_samples):
+    _, packet, _ = _setup()
+    with pytest.raises(pl.ConfigError, match=f"got {n_time_samples}$"):
+        pl.DiscreteResetConfig(
+            bath=_bath(15), packet=packet, delta_t=DELTA_T, n_time_samples=n_time_samples
+        )
+
+
+def _per_node_density(cfg, grid, particle):
+    """The oracle's quadrature one node at a time: free state, projection,
+    FFT, back-propagation phase, then a rank-1 update of every mode."""
+    bath = cfg.bath
+    hb, m = particle.hbar, particle.mass
+    w_l = bath.mode_frequencies()
+    theta = grid.x >= 0.0
+    nt = cfg.n_time_samples
+    ts = np.linspace(0.0, cfg.delta_t, nt)
+    weights = np.full(nt, cfg.delta_t / (nt - 1))
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    acc = np.zeros((bath.n_modes, grid.n_points), dtype=complex)
+    kin_phase = hb * grid.k**2 / (2.0 * m)
+    for t, w in zip(ts, weights):
+        psi_t = pl.gaussian_free_state(cfg.packet, particle, t, grid).amplitudes.copy()
+        psi_t[~theta] = 0.0
+        phi = np.fft.fft(psi_t) * np.exp(1j * kin_phase * t)
+        acc += (w * np.exp(1j * (w_l - bath.omega_0) * t))[:, None] * phi[None, :]
+    acc *= np.exp(-1j * kin_phase * cfg.delta_t)[None, :]
+    s_l = np.fft.ifft(acc, axis=-1)
+    return np.tensordot(bath.coupling_sq(), np.abs(s_l) ** 2, axes=(0, 0)) / cfg.delta_t
+
+
+@pytest.mark.parametrize(
+    "x_span, center",
+    [((-0.45e-6, 0.75e-6), 0.0), ((0.1e-6, 1.3e-6), 0.7e-6)],
+    ids=["x>=0 from mid-grid", "grid wholly in x>=0"],
+)
+def test_blocked_oracle_matches_per_node_loop(x_span, center):
+    particle = pl.cesium()
+    packet = pl.GaussianPacketSpec(center_x0=center, sigma_x=50e-9, mean_velocity_v0=1.79)
+    grid = pl.build_grid(*x_span, 2048)
+    # two and a half blocks, so the last block is a partial one
+    nt = 5 * min(_block_rows(grid.n_points), _MAX_BLOCK_NODES) // 2
+    cfg = pl.DiscreteResetConfig(
+        bath=_bath(15), packet=packet, delta_t=DELTA_T / 8, n_time_samples=nt
+    )
+    blocked = pl.discrete_reset_density(cfg, grid, particle).values
+    ref = _per_node_density(cfg, grid, particle)
+    assert np.max(np.abs(blocked - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_packet_leaving_grid_late_in_window_raises():
+    # inside the grid at t=0 (tail 1e-12) but 1.7 sigma further right by
+    # delta_t, past the 1e-10 tail gate about 40% into the window
+    particle = pl.cesium()
+    packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=50e-9, mean_velocity_v0=2e3)
+    grid = pl.build_grid(-0.6e-6, 7 * packet.sigma_x, 1024)
+    pl.gaussian_free_state(packet, particle, 0.0, grid)  # passes the gate at t=0
+    cfg = pl.DiscreteResetConfig(
+        bath=_bath(15), packet=packet, delta_t=DELTA_T, n_time_samples=8192
+    )
+    with pytest.raises(pl.GridTooNarrowError):
+        pl.discrete_reset_density(cfg, grid, particle)
+
+
+_DENSITY_BYTES = """
+import sys
+import passagelab as pl
+packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=50e-9, mean_velocity_v0=1.79)
+bath = pl.DiscreteBathSpec(n_modes=60, omega_max={om}, coupling_g={g}, omega_0={o0})
+cfg = pl.DiscreteResetConfig(bath=bath, packet=packet, delta_t={dt}, n_time_samples=600)
+grid = pl.build_grid(-0.6e-6, 0.6e-6, 1024)
+sys.stdout.buffer.write(pl.discrete_reset_density(cfg, grid, pl.cesium()).values.tobytes())
+""".format(om=OMEGA_M, g=G, o0=OMEGA_0, dt=DELTA_T / 4)
+
+
+def test_density_bytes_independent_of_blas_threads():
+    src = str(Path(pl.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _DENSITY_BYTES],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+        out.append(run.stdout)
+    assert len(out[0]) == 8 * 1024
+    assert out[0] == out[1]
 
 
 def test_continuum_reset_density_shape():
