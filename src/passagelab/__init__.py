@@ -28,7 +28,6 @@ from .detector import (
     DetectorSpec,
     DiscreteBathSpec,
     RectangularProfile,
-    TabulatedProfile,
     continuum_rates,
     kappa,
     reset,
@@ -100,7 +99,6 @@ __all__ = [
     "DetectorSpec",
     "DiscreteBathSpec",
     "RectangularProfile",
-    "TabulatedProfile",
     "continuum_rates",
     "kappa",
     "reset",

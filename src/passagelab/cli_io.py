@@ -7,7 +7,8 @@ momentum profiles), `discrete-compare` (N-mode bath vs continuum density),
 kinetic energy).
 
 Configs are YAML; physical values accept "value unit" strings (um, nm, mm/s,
-cm/s, ms, 1/s, ...) while bare numbers are SI. Unknown keys are rejected.
+cm/s, ms, 1/s, ...) while bare numbers are SI. Unknown keys and non-finite
+values are rejected.
 Exit codes: 0 ok, 2 config error, 3 completed with regime warnings,
 4 convergence failure.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
 import warnings
@@ -50,8 +51,6 @@ from .passage import (
 )
 from .precision import optimal_plan, scaling_sweep
 from .propagator import peak_time
-
-THREADS_ENV = "PASSAGELAB_THREADS"
 
 _UNITS = {
     "mass": {"kg": 1.0},
@@ -102,8 +101,7 @@ SCHEMA = {
     "bath": {
         "n_modes": ("int", 15),
         "omega_0": ("frequency", 2.38e12),
-        "omega_max": ("frequency?", None),
-        "omega_max_ratio": ("float?", 4.6),
+        "omega_max_ratio": ("float", 4.6),
         "coupling": ("coupling", 2.782e3),
         "delta_t": ("time", 4.185e-11),
         "n_time_samples": ("int", 8192),
@@ -149,24 +147,27 @@ def parse_quantity(raw, kind: str, path: str) -> float | int | None:
             return raw
         raise ConfigError(f"{path}: expected an integer, got {raw!r}")
     if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, str):
+        value = float(raw)
+    elif isinstance(raw, str):
         parts = raw.split(None, 1)
         try:
             value = float(parts[0])
-        except ValueError:
+        except (IndexError, ValueError):
             raise ConfigError(f"{path}: cannot parse number from {raw!r}") from None
-        if len(parts) == 1:
-            return value
-        unit = parts[1].strip()
-        table = _UNITS.get(base, {})
-        if unit not in table:
-            raise ConfigError(
-                f"{path}: unknown unit {unit!r} for {base} "
-                f"(accepted: {', '.join(sorted(table)) or 'none'})"
-            )
-        return value * table[unit]
-    raise ConfigError(f"{path}: unsupported value {raw!r}")
+        if len(parts) == 2:
+            unit = parts[1].strip()
+            table = _UNITS.get(base, {})
+            if unit not in table:
+                raise ConfigError(
+                    f"{path}: unknown unit {unit!r} for {base} "
+                    f"(accepted: {', '.join(sorted(table)) or 'none'})"
+                )
+            value *= table[unit]
+    else:
+        raise ConfigError(f"{path}: unsupported value {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: value must be finite, got {raw!r}")
+    return value
 
 
 def _merge(schema: dict, user: dict, path: str = "") -> dict:
@@ -248,15 +249,9 @@ def build_experiment(conf: dict) -> ExperimentConfig:
 
 def build_bath(conf: dict) -> tuple[DiscreteBathSpec, dict]:
     b = conf["bath"]
-    omega_max = b["omega_max"]
-    if omega_max is None:
-        ratio = b["omega_max_ratio"]
-        if ratio is None:
-            raise ConfigError("bath: provide omega_max or omega_max_ratio")
-        omega_max = ratio * b["omega_0"]
     bath = DiscreteBathSpec(
         n_modes=b["n_modes"],
-        omega_max=omega_max,
+        omega_max=b["omega_max_ratio"] * b["omega_0"],
         coupling_g=b["coupling"],
         omega_0=b["omega_0"],
     )
@@ -269,45 +264,6 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
         fh.write(",".join(header) + "\n")
         for i in range(rows):
             fh.write(",".join(f"{col[i]:.12e}" for col in columns) + "\n")
-
-
-_PLOT_TEMPLATE = """\
-#!/usr/bin/env python3
-\"\"\"Plot {title} from {csv_name} (generated alongside the data).\"\"\"
-import csv
-from pathlib import Path
-
-import matplotlib
-
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-here = Path(__file__).resolve().parent
-with (here / "{csv_name}").open() as fh:
-    reader = csv.reader(fh)
-    header = next(reader)
-    cols = list(zip(*[[float(v) for v in row] for row in reader]))
-
-fig, ax = plt.subplots(figsize=(7, 4.5))
-for name, ys in zip(header[1:], cols[1:]):
-    ax.plot(cols[0], ys, label=name)
-ax.set_xlabel(header[0])
-ax.legend()
-{extra}
-fig.tight_layout()
-fig.savefig(here / "{png_name}", dpi=150)
-print("wrote", here / "{png_name}")
-"""
-
-
-def _write_plot_script(out: Path, stem: str, title: str, logy: bool = False) -> Path:
-    extra = 'ax.set_yscale("log")' if logy else ""
-    script = _PLOT_TEMPLATE.format(
-        title=title, csv_name=f"{stem}.csv", png_name=f"{stem}.png", extra=extra
-    )
-    path = out / f"plot_{stem}.py"
-    path.write_text(script)
-    return path
 
 
 def _summary(out_dir: Path, name: str, conf: dict, payload: dict, warned: list[str]) -> Path:
@@ -330,8 +286,6 @@ def _cmd_arrival(conf: dict, out: Path, args: argparse.Namespace) -> dict:
         ["t_seconds", "w1_per_second"],
         [record.times, record.density_w1],
     )
-    if args.emit_plots:
-        _write_plot_script(out, "arrival", "first-detection density")
     return {
         "peak_time_seconds": peak_time(record),
         "detection_probability": ensemble.p_detected_1,
@@ -347,8 +301,6 @@ def _cmd_passage(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     _write_csv(
         out / "passage.csv", ["tau_seconds", "g_per_second"], [dist.tau, dist.g_tau]
     )
-    if args.emit_plots:
-        _write_plot_script(out, "passage", "passage-time distribution")
     never, residual2 = dist.leakage_report
     return {
         "total_probability": dist.total_probability,
@@ -392,9 +344,6 @@ def _cmd_reset_state(conf: dict, out: Path, args: argparse.Namespace) -> dict:
         ["p_kg_m_per_s", "reset_density", "initial_packet_density"],
         [p_sorted, dens_p, dens_p0],
     )
-    if args.emit_plots:
-        _write_plot_script(out, "reset_state_position", "reset state, position")
-        _write_plot_script(out, "reset_state_momentum", "reset state, momentum")
     return {
         "entry_time_seconds": t_used,
         "norm_sq": mom.norm_sq,
@@ -423,8 +372,6 @@ def _cmd_discrete_compare(conf: dict, out: Path, args: argparse.Namespace) -> di
         ["x_meters", "discrete_density_per_meter", "continuum_density_per_meter"],
         [grid.x, disc.values, cont.values],
     )
-    if args.emit_plots:
-        _write_plot_script(out, "discrete_compare", "discrete vs continuum density")
     return {
         "l1_full": metrics.l1_full,
         "l1_masked": metrics.l1_masked,
@@ -436,13 +383,15 @@ def _cmd_discrete_compare(conf: dict, out: Path, args: argparse.Namespace) -> di
 
 def _cmd_kijowski(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     kj = conf["kijowski"]
+    if kj["n_times"] < 2:
+        raise ConfigError(f"kijowski.n_times must be >= 2, got {kj['n_times']}")
+    if not kj["t_max"] > kj["t_min"]:
+        raise ConfigError(f"kijowski.t_max must exceed t_min, got {kj['t_max']} <= {kj['t_min']}")
     t = np.linspace(kj["t_min"], kj["t_max"], kj["n_times"])
     pi_k = kijowski_distribution(
         _packet(conf["packet"]), _particle(conf), kj["at_x"], t
     )
     _write_csv(out / "kijowski.csv", ["t_seconds", "pi_k_per_second"], [t, pi_k])
-    if args.emit_plots:
-        _write_plot_script(out, "kijowski", "reference arrival distribution")
     norm = float(np.trapezoid(pi_k, t))
     return {"normalization_on_grid": norm, "at_x_meters": kj["at_x"]}
 
@@ -465,8 +414,6 @@ def _cmd_precision_sweep(conf: dict, out: Path, args: argparse.Namespace) -> dic
         ["v0_m_per_s", "energy_joules", "std_tau_seconds", "delta_tau_opt_seconds"],
         [result.v0, result.energy, result.std_tau, result.delta_tau_opt],
     )
-    if args.emit_plots:
-        _write_plot_script(out, "precision_sweep", "width vs energy", logy=True)
     plan_ref = optimal_plan(sw["distance"], particle, 7.17e-3)
     return {
         "exponent": result.exponent,
@@ -500,11 +447,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get(THREADS_ENV, "1")),
-        help=f"worker threads for sweeps (default ${THREADS_ENV} or 1)",
-    )
-    parser.add_argument(
-        "--emit-plots", action="store_true", help="write plot scripts next to the CSVs"
+        default=1,
+        help="worker threads for sweeps (default 1)",
     )
     args = parser.parse_args(argv)
     if args.threads < 1:

@@ -1,9 +1,8 @@
-"""Detector parameterization: sensitivity profiles, bath-derived rates, reset.
+"""Detector parameterization: the detector region, bath-derived rates, reset.
 
-A detector couples to the particle through a sensitivity profile chi(x). The
-conditional Hamiltonian carries A*chi^2 and delta_shift*chi^2; the reset
-channel applies sqrt(A)*chi. The two agree for indicator profiles (chi^2 =
-chi) but are kept as distinct code paths for general profiles.
+A detector is a decay rate A (and a shift delta) switched on over its region:
+the indicator chi(x) of a rectangular profile. The conditional Hamiltonian
+carries A*chi and delta*chi; the reset channel applies sqrt(A)*chi.
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ from .propagator import ComplexPotentialField
 
 __all__ = [
     "RectangularProfile",
-    "TabulatedProfile",
     "DiscreteBathSpec",
     "ContinuumRates",
     "DetectorSpec",
@@ -46,27 +44,6 @@ class RectangularProfile:
     def chi(self, grid: SpatialGrid) -> np.ndarray:
         x, tol = grid.x, 1e-6 * grid.dx
         return ((x >= self.a - tol) & (x < self.b - tol)).astype(float)
-
-
-@dataclass(frozen=True)
-class TabulatedProfile:
-    """chi given by samples on the target grid, values in [0, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ConfigError("tabulated profile must be a 1-d array")
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0) or np.any(v > 1.0):
-            raise ConfigError("tabulated chi values must be finite and within [0, 1]")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def chi(self, grid: SpatialGrid) -> np.ndarray:
-        if self.values.shape != (grid.n_points,):
-            raise ConfigError("tabulated profile length does not match the grid")
-        return self.values
 
 
 @dataclass(frozen=True)
@@ -150,29 +127,25 @@ def kappa(bath: DiscreteBathSpec, tau: float, mode: str = "discrete") -> complex
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """A sensitivity profile plus effective rates (direct or bath-derived)."""
+    """A rectangular detector region plus its effective rates."""
 
-    profile: RectangularProfile | TabulatedProfile
+    profile: RectangularProfile
     decay_a: float
     shift: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.profile, RectangularProfile):
+            name = type(self.profile).__name__
+            raise ConfigError(f"detector profile must be a RectangularProfile, got {name}")
         if self.decay_a < 0.0:
             raise ConfigError(f"decay rate must be >= 0, got {self.decay_a}")
 
-    @classmethod
-    def from_bath(
-        cls, profile: RectangularProfile | TabulatedProfile, bath: DiscreteBathSpec
-    ) -> "DetectorSpec":
-        rates = continuum_rates(bath)
-        return cls(profile=profile, decay_a=rates.decay_a, shift=rates.shift)
-
     def potential_field(self, grid: SpatialGrid) -> ComplexPotentialField:
-        chi_sq = self.profile.chi(grid) ** 2
+        chi = self.profile.chi(grid)
         return ComplexPotentialField(
             grid=grid,
-            decay_rate=self.decay_a * chi_sq,
-            real_shift=self.shift * chi_sq,
+            decay_rate=self.decay_a * chi,
+            real_shift=self.shift * chi,
         )
 
     def reset_factor(self, grid: SpatialGrid) -> np.ndarray:
@@ -183,8 +156,7 @@ class DetectorSpec:
 def reset(psi_cond: WaveFunction, det: DetectorSpec) -> WaveFunction:
     """Post-detection state sqrt(A)*chi(x)*psi_cond, unnormalized.
 
-    Its squared norm equals A * int chi^2 |psi|^2 dx, which is w1(t) for
-    indicator profiles.
+    Its squared norm equals A * int chi |psi|^2 dx, which is w1(t).
     """
     amps = det.reset_factor(psi_cond.grid) * psi_cond.amplitudes
     nsq = float(np.sum(np.abs(amps) ** 2) * psi_cond.grid.dx)

@@ -29,7 +29,7 @@ from .core import (
     free_sigma_x,
     gaussian_free_state,
 )
-from .detector import DetectorSpec, RectangularProfile
+from .detector import DetectorSpec
 from .exceptions import ConfigError, GridError, NoDetectionError, RegimeWarning
 from .propagator import DetectionRecord, _conditional, _evolve_rows, _kernel
 
@@ -75,10 +75,6 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         p1, p2 = self.detector1.profile, self.detector2.profile
-        if not isinstance(p1, RectangularProfile) or not isinstance(
-            p2, RectangularProfile
-        ):
-            raise ConfigError("experiment detectors must have rectangular profiles")
         if p2.a <= p1.a:
             raise ConfigError("detector 2 must start downstream of detector 1")
         if p1.b > p2.a:

@@ -30,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ComplexPotentialField:
-    """Samples of the decay rate A(x)chi^2 and line shift delta(x)chi^2, in 1/s."""
+    """Samples of the decay rate A chi(x) and line shift delta chi(x), in 1/s."""
 
     grid: SpatialGrid
     decay_rate: np.ndarray

@@ -30,15 +30,6 @@ def test_rectangular_profile_validation():
         pl.RectangularProfile(4e-6, 2e-6)
 
 
-def test_tabulated_profile_range_checked():
-    grid = pl.build_grid(0.0, 1e-6, 64)
-    pl.TabulatedProfile(np.linspace(0.0, 1.0, 64))  # ok
-    with pytest.raises(pl.ConfigError):
-        pl.TabulatedProfile(np.full(64, 1.5))
-    with pytest.raises(pl.ConfigError):
-        pl.TabulatedProfile(np.full(64, -0.1))
-
-
 def test_continuum_rates_closed_forms():
     rates = pl.continuum_rates(_bath())
     # A = 2 pi G^2 omega_0 / omega_M
@@ -130,14 +121,6 @@ def test_kappa_negative_tau_rejected():
         pl.kappa(_bath(), -1e-13)
 
 
-def test_detector_from_bath_uses_continuum_rates():
-    prof = pl.RectangularProfile(0.0, 20e-6)
-    det = pl.DetectorSpec.from_bath(prof, _bath())
-    rates = pl.continuum_rates(_bath())
-    assert det.decay_a == pytest.approx(rates.decay_a)
-    assert det.shift == pytest.approx(rates.shift)
-
-
 def test_potential_field_uses_chi_squared():
     grid = pl.build_grid(0.0, 10e-6, 512)
     det = pl.DetectorSpec(
@@ -145,8 +128,10 @@ def test_potential_field_uses_chi_squared():
     )
     pot = det.potential_field(grid)
     chi = det.profile.chi(grid)
-    assert np.allclose(pot.decay_rate, 3e3 * chi**2)
-    assert np.allclose(pot.real_shift, -1e3 * chi**2)
+    # chi is a 0/1 indicator, so A*chi and A*chi^2 are the same bits
+    assert np.array_equal(chi, chi**2)
+    assert np.array_equal(pot.decay_rate, 3e3 * chi**2)
+    assert np.array_equal(pot.real_shift, -1e3 * chi**2)
 
 
 def test_reset_norm_identity(toy_run):
