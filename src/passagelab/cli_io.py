@@ -45,6 +45,9 @@ from .discrete_oracle import (
 from .exceptions import ConfigError, ConvergenceError, PassageLabError, RegimeWarning
 from .passage import (
     ExperimentConfig,
+    _arrival_pass,
+    _entry_steps,
+    _reset_row,
     arrival_stage,
     kijowski_distribution,
     passage_distribution,
@@ -147,7 +150,10 @@ def parse_quantity(raw, kind: str, path: str) -> float | int | None:
             return raw
         raise ConfigError(f"{path}: expected an integer, got {raw!r}")
     if isinstance(raw, (int, float)):
-        value = float(raw)
+        try:
+            value = float(raw)
+        except OverflowError:
+            raise ConfigError(f"{path}: integer too large for a float") from None
     elif isinstance(raw, str):
         parts = raw.split(None, 1)
         try:
@@ -279,8 +285,7 @@ def _summary(out_dir: Path, name: str, conf: dict, payload: dict, warned: list[s
 
 
 def _cmd_arrival(conf: dict, out: Path, args: argparse.Namespace) -> dict:
-    cfg = build_experiment(conf)
-    record, ensemble = arrival_stage(cfg)
+    record, _, _ = _arrival_pass(build_experiment(conf))  # the record alone
     _write_csv(
         out / "arrival.csv",
         ["t_seconds", "w1_per_second"],
@@ -288,8 +293,8 @@ def _cmd_arrival(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     )
     return {
         "peak_time_seconds": peak_time(record),
-        "detection_probability": ensemble.p_detected_1,
-        "residual_norm": ensemble.residual_norm_1,
+        "detection_probability": float(record.cumulative_detected[-1]),
+        "residual_norm": float(record.survival_p0[-1]),
         "samples": int(len(record.times)),
     }
 
@@ -318,13 +323,17 @@ def _cmd_passage(conf: dict, out: Path, args: argparse.Namespace) -> dict:
 
 def _cmd_reset_state(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     cfg = build_experiment(conf)
-    record, ensemble = arrival_stage(cfg)
+    # one row of arrival_stage's ensemble, without its held stack or other rows
+    record, _, _ = _arrival_pass(cfg)
     want = conf["reset_state"]["at_time"]
     if want is None:
         want = peak_time(record)
-    i = int(np.argmin(np.abs(ensemble.entry_times - want)))
-    t_used = float(ensemble.entry_times[i])
-    psi = WaveFunction(grid=cfg.grid, amplitudes=ensemble.states[i], time=t_used)
+    steps = _entry_steps(cfg, record)
+    entry_times = record.times[0] + steps * cfg.dt
+    i = int(np.argmin(np.abs(entry_times - want)))
+    t_used = float(entry_times[i])
+    row = _reset_row(cfg, int(steps[i]))
+    psi = WaveFunction(grid=cfg.grid, amplitudes=row, time=t_used)
     mom = observables(psi, hbar=cfg.particle.hbar)
     dens_x = np.abs(psi.amplitudes) ** 2
     phi = momentum_amplitudes(psi)

@@ -10,6 +10,10 @@ accumulates in momentum space, a block of time nodes at a time: the closed-form
 packet on the grid points x >= 0 for every node of the block, one batched FFT,
 the back-propagation phase, and one (modes x nodes) @ (nodes x points)
 product into the accumulator. One inverse FFT per mode follows at the end.
+The phase depends on |k| alone and the grid's k is exactly antisymmetric,
+k[n - j] == -k[j], so it is exponentiated on the first n // 2 + 1 columns and
+the other columns multiply by its mirror image: the same bits, half the
+complex exponentials.
 The blocks depend on the grid size alone and hold at most 64 nodes, so every
 product sums in the same order, and the output is bit-for-bit the same, for
 any BLAS thread count.
@@ -95,6 +99,19 @@ class ComparisonMetrics:
     exclusion: tuple[float, float]
 
 
+def _back_propagate(phi: np.ndarray, kin_phase: np.ndarray, t: np.ndarray) -> None:
+    """phi[i] *= exp(i kin_phase t[i]) in place, one exponential per |k|.
+
+    kin_phase is even on the grid's k, kin_phase[n - j] == kin_phase[j], so
+    columns n // 2 + 1.. multiply by the mirror image of the first half.
+    """
+    n = phi.shape[-1]
+    half = n // 2 + 1
+    phase = np.exp(1j * kin_phase[:half] * t[:, None])
+    phi[:, :half] *= phase
+    phi[:, half:] *= phase[:, n - half : 0 : -1]
+
+
 def discrete_reset_density(
     cfg: DiscreteResetConfig, grid: SpatialGrid, particle: ParticleSpec
 ) -> DensityProfile:
@@ -124,7 +141,7 @@ def discrete_reset_density(
         rows[:, i0:] = _free_packet(cfg.packet, particle, t[:, None], x_pos)
         # back-propagate the projected slices to t=0 in momentum space
         phi = np.fft.fft(rows, axis=-1)
-        phi *= np.exp(1j * kin_phase * t[:, None])
+        _back_propagate(phi, kin_phase, t)
         coeff = weights[start : start + block] * np.exp(1j * dw[:, None] * t)
         acc += coeff @ phi
     acc *= np.exp(-1j * kin_phase * cfg.delta_t)[None, :]

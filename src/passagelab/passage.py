@@ -25,13 +25,22 @@ from .core import (
     GaussianPacketSpec,
     ParticleSpec,
     SpatialGrid,
+    WaveFunction,
     _block_rows,
     free_sigma_x,
     gaussian_free_state,
 )
 from .detector import DetectorSpec
 from .exceptions import ConfigError, GridError, NoDetectionError, RegimeWarning
-from .propagator import DetectionRecord, _conditional, _evolve_rows, _kernel
+from .propagator import (
+    DetectionRecord,
+    _Batch,
+    _conditional,
+    _evolve_batch,
+    _evolve_rows,
+    _Kernel,
+    _kernel,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -151,15 +160,9 @@ def _auto_tau_max(cfg: ExperimentConfig) -> float:
     return min(want, wrap)
 
 
-def _arrival_pass(
-    cfg: ExperimentConfig, hold: bool = False
-) -> tuple[DetectionRecord, np.ndarray, slice]:
-    """Validate detector 1's window and propagate the packet across it once.
-
-    Returns the w1 record, the held conditional states (n_steps + 1, 1, n_held)
-    and detector 1's decay support; n_held is the support's length with hold,
-    else 0.
-    """
+def _detector1_start(cfg: ExperimentConfig) -> tuple[_Kernel, WaveFunction, int]:
+    """Validate detector 1's window: its step kernel, the start state and the
+    number of steps that cross it."""
     det1 = cfg.detector1
     if det1.decay_a == 0.0:
         raise NoDetectionError("detector 1 has A = 0: no detection")
@@ -177,7 +180,19 @@ def _arrival_pass(
             f"detection window {t_end - t_start:.3e} s is shorter than one step"
         )
     kernel = _kernel(grid, particle, det1.potential_field(grid), cfg.dt)
-    psi0 = gaussian_free_state(packet, particle, t_start, grid)
+    return kernel, gaussian_free_state(packet, particle, t_start, grid), n_steps
+
+
+def _arrival_pass(
+    cfg: ExperimentConfig, hold: bool = False
+) -> tuple[DetectionRecord, np.ndarray, slice]:
+    """Propagate the packet across detector 1's window once.
+
+    Returns the w1 record, the held conditional states (n_steps + 1, 1, n_held)
+    and detector 1's decay support; n_held is the support's length with hold,
+    else 0.
+    """
+    kernel, psi0, n_steps = _detector1_start(cfg)
     _, record, held = _conditional(
         kernel, psi0, n_steps, cfg.dt, kernel.support if hold else slice(0, 0)
     )
@@ -194,6 +209,35 @@ def _arrival_pass(
     return record, held, kernel.support
 
 
+def _entry_steps(cfg: ExperimentConfig, record: DetectionRecord) -> np.ndarray:
+    """Steps of the entry grid: detection-probability quantiles of the record,
+    snapped to steps in (0, n_steps]."""
+    times, cum = record.times, record.cumulative_detected
+    q = np.linspace(*_ENTRY_WINDOW, cfg.n_entry)
+    t_entry = np.interp(q * float(cum[-1]), cum, times)
+    idx = np.unique(np.round((t_entry - times[0]) / cfg.dt).astype(int))
+    idx = idx[(idx > 0) & (idx <= len(times) - 1)]
+    if len(idx) < 2:
+        raise NoDetectionError("entry grid collapsed to fewer than two times")
+    return idx
+
+
+def _reset_row(cfg: ExperimentConfig, step: int) -> np.ndarray:
+    """The reset state sqrt(A) chi psi_cond at one step of detector 1's window.
+
+    One row is propagated from the same start state with the same kernel as
+    the arrival pass and sampled at that step only. Sampling never writes the
+    evolving state, so the row has the bits of the ensemble row at that step.
+    """
+    kernel, psi0, _ = _detector1_start(cfg)
+    support = kernel.support
+    batch = _Batch(psi0.amplitudes[None, :], step, step, support)
+    _evolve_batch(kernel, batch)
+    state = np.zeros(cfg.grid.n_points, dtype=complex)
+    state[support] = cfg.detector1.reset_factor(cfg.grid)[support] * batch.held[-1, 0]
+    return state
+
+
 def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble]:
     """Detector-1 stage: w1^(1) record plus reset states on the entry grid.
 
@@ -203,21 +247,17 @@ def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble
     detection-probability quantiles of the record. The held stack, dropped
     before the states are allocated, costs n_steps x n_support x 16 B: 54.6 MB
     at dt = 1e-6 on the reference grid (712 of 8192 points on detector 1),
-    27.8 MB at the 3 mm/s sweep point, growing as 1/dt.
+    27.8 MB at the 3 mm/s sweep point, growing as 1/dt. It pays off only when
+    every row is needed: a caller that needs the record alone runs
+    `_arrival_pass` without hold, and one that needs a single row picks its
+    step with `_entry_steps` and propagates it with `_reset_row`, holding no
+    stack and building no ensemble.
     """
     record, held, support = _arrival_pass(cfg, hold=True)
     times, cum = record.times, record.cumulative_detected
-    t_start, n_steps = times[0], len(times) - 1
     p_detected = float(cum[-1])
-
-    # entry grid: quantiles of the detection distribution, snapped to steps
-    q = np.linspace(*_ENTRY_WINDOW, cfg.n_entry)
-    t_entry = np.interp(q * p_detected, cum, times)
-    idx = np.unique(np.round((t_entry - t_start) / cfg.dt).astype(int))
-    idx = idx[(idx > 0) & (idx <= n_steps)]
-    if len(idx) < 2:
-        raise NoDetectionError("entry grid collapsed to fewer than two times")
-    t_entry = t_start + idx * cfg.dt
+    idx = _entry_steps(cfg, record)
+    t_entry = times[0] + idx * cfg.dt
 
     rows = held[idx, 0]
     del held

@@ -1,6 +1,7 @@
 """Config parsing, CSV/JSON emission, and exit codes of the command line."""
 import inspect
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import passagelab as pl
-from passagelab import cli_io
+from passagelab import cli_io, passage
 from passagelab.exceptions import ConfigError, ConvergenceError
-from passagelab.passage import _auto_tau_max
+from passagelab.passage import _arrival_pass, _auto_tau_max
 
 # light config so CLI runs finish in seconds; mirrors the toy fixtures
 TOY_YAML = """
@@ -103,6 +104,15 @@ def test_parse_quantity_rejects_booleans_and_required_nulls(flag, kind, nullable
     else:
         with pytest.raises(ConfigError, match="required"):
             cli_io.parse_quantity(None, kind, "p")
+
+
+def test_integer_too_large_for_a_float_gives_exit_2(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="^packet.sigma: "):
+        cli_io.parse_quantity(10**400, "length", "packet.sigma")
+    p = tmp_path / "huge.yaml"
+    p.write_text("packet: {sigma: 1" + "0" * 400 + "}\n")
+    assert cli_io.main(["arrival", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert "packet.sigma: integer too large" in capsys.readouterr().err
 
 
 def test_unknown_unit_error_names_alternatives():
@@ -268,6 +278,76 @@ def test_reset_state_subcommand_toy(tmp_path, toy_yaml):
     # momentum axis strictly increasing after the fftfreq reorder
     p_vals = np.array([float(r.split(",")[0]) for r in mom[1:] if r])
     assert np.all(np.diff(p_vals) > 0.0)
+
+
+@pytest.fixture(scope="module")
+def toy_stage(tmp_path_factory):
+    p = tmp_path_factory.mktemp("toy") / "toy.yaml"
+    p.write_text(TOY_YAML)
+    cfg = cli_io.build_experiment(cli_io.load_config(str(p)))
+    return cfg, *pl.arrival_stage(cfg)
+
+
+def _reset_amplitudes(tmp_path, monkeypatch, at_time):
+    """Run reset-state on the toy config; return the row it took its moments of."""
+    conf = yaml.safe_load(TOY_YAML)
+    if at_time is not None:
+        conf["reset_state"] = {"at_time": at_time}
+    p = tmp_path / "reset.yaml"
+    p.write_text(yaml.safe_dump(conf))
+    seen = []
+    observe = cli_io.observables
+
+    def spy(psi, hbar):
+        seen.append(psi)
+        return observe(psi, hbar=hbar)
+
+    monkeypatch.setattr(cli_io, "observables", spy)
+    assert cli_io.main(["reset-state", "--config", str(p), "--out", str(tmp_path)]) == 0
+    (psi,) = seen
+    return psi
+
+
+@pytest.mark.parametrize("where", ["peak", "mid", "before", "after"])
+def test_reset_state_row_is_the_ensemble_row(tmp_path, monkeypatch, toy_stage, where):
+    _, record, ensemble = toy_stage
+    times = ensemble.entry_times
+    at_time = {
+        "peak": None,
+        "mid": float(0.5 * (times[6] + times[7])) + 1e-12,
+        "before": -1e-3,
+        "after": 1.0,
+    }[where]
+    want = pl.peak_time(record) if at_time is None else at_time
+    i = int(np.argmin(np.abs(times - want)))
+    if where != "peak":
+        assert i == {"mid": 7, "before": 0, "after": len(times) - 1}[where]
+    psi = _reset_amplitudes(tmp_path, monkeypatch, at_time)
+    assert psi.time == times[i]
+    assert psi.amplitudes.tobytes() == ensemble.states[i].tobytes()
+
+
+def test_arrival_and_reset_state_build_no_ensemble(tmp_path, monkeypatch, toy_yaml):
+    def boom(cfg):
+        raise AssertionError("arrival_stage called")
+
+    monkeypatch.setattr(passage, "arrival_stage", boom)
+    monkeypatch.setattr(cli_io, "arrival_stage", boom)
+    for sub in ("arrival", "reset-state"):
+        assert cli_io.main([sub, "--config", toy_yaml, "--out", str(tmp_path)]) == 0
+
+
+def test_reset_state_memory_below_half_the_held_stack(tmp_path, toy_stage, toy_yaml):
+    cfg, record, _ = toy_stage
+    support = _arrival_pass(cfg)[2]
+    stack = (len(record.times) - 1) * (support.stop - support.start) * 16
+    tracemalloc.start()
+    try:
+        assert cli_io.main(["reset-state", "--config", toy_yaml, "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack / 2
 
 
 def test_discrete_compare_subcommand_small_bath(tmp_path):

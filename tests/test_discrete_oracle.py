@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import passagelab as pl
+from passagelab import discrete_oracle
 from passagelab.core import _block_rows
-from passagelab.discrete_oracle import _MAX_BLOCK_NODES
+from passagelab.discrete_oracle import _MAX_BLOCK_NODES, _back_propagate
 
 OMEGA_0 = 2.38e12
 OMEGA_M = 4.6 * OMEGA_0
@@ -178,6 +179,37 @@ def test_blocked_oracle_matches_per_node_loop(x_span, center):
     blocked = pl.discrete_reset_density(cfg, grid, particle).values
     ref = _per_node_density(cfg, grid, particle)
     assert np.max(np.abs(blocked - ref)) <= 1e-12 * np.max(ref)
+
+
+@pytest.mark.parametrize("n_points", [2, 512, 4096])
+def test_mirrored_phase_is_the_full_width_phase(n_points):
+    particle, _, grid = _setup(n_points)
+    kin_phase = particle.hbar * grid.k**2 / (2.0 * particle.mass)
+    t = np.linspace(0.0, DELTA_T, 8192)[-_MAX_BLOCK_NODES:]
+    full = np.exp(1j * kin_phase * t[:, None])
+    phase = np.ones((len(t), n_points), dtype=complex)
+    _back_propagate(phase, kin_phase, t)
+    assert phase.tobytes() == full.tobytes()
+    rng = np.random.default_rng(n_points)
+    phi = rng.normal(size=phase.shape) + 1j * rng.normal(size=phase.shape)
+    mirrored = phi.copy()
+    _back_propagate(mirrored, kin_phase, t)
+    assert mirrored.tobytes() == (phi * full).tobytes()
+
+
+def test_density_bytes_match_full_width_phase(monkeypatch):
+    particle, packet, grid = _setup(n_points=512)
+    cfg = pl.DiscreteResetConfig(
+        bath=_bath(5), packet=packet, delta_t=DELTA_T, n_time_samples=2048
+    )
+    mirrored = pl.discrete_reset_density(cfg, grid, particle).values
+
+    def full_width(phi, kin_phase, t):
+        phi *= np.exp(1j * kin_phase * t[:, None])
+
+    monkeypatch.setattr(discrete_oracle, "_back_propagate", full_width)
+    reference = pl.discrete_reset_density(cfg, grid, particle).values
+    assert mirrored.tobytes() == reference.tobytes()
 
 
 def test_packet_leaving_grid_late_in_window_raises():
