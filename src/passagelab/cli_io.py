@@ -206,7 +206,8 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         raw = yaml.safe_load(p.read_text())
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: an integer literal past Python's int-string digit limit
         raise ConfigError(f"cannot parse {p}: {exc}") from exc
     if raw is None:
         raw = {}
@@ -427,6 +428,7 @@ def _cmd_precision_sweep(conf: dict, out: Path, args: argparse.Namespace) -> dic
     return {
         "exponent": result.exponent,
         "total_probability": [float(v) for v in result.total_probability],
+        "dt2_seconds": [float(v) for v in result.dt2],
         "reference_plan_v0_7.17mm_s": {
             "delta_x_opt_meters": plan_ref.delta_x_opt,
             "a_opt_per_second": plan_ref.a_opt,

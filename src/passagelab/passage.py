@@ -18,6 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import erfc
+from numbers import Integral
 
 import numpy as np
 
@@ -92,10 +93,16 @@ class ExperimentConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.dt2 is not None and self.dt2 <= 0.0:
             raise ConfigError(f"dt2 must be positive, got {self.dt2}")
+        for name in ("tau_stride", "n_entry"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.tau_stride < 1:
             raise ConfigError(f"tau_stride must be >= 1, got {self.tau_stride}")
         if self.n_entry < 2:
             raise ConfigError("n_entry must be >= 2")
+        if not 0.0 <= self.svd_keep < 1.0:
+            raise ConfigError(f"svd_keep must be in [0, 1), got {self.svd_keep}")
         if self.tau_max is not None and self.tau_max <= 0.0:
             raise ConfigError(f"tau_max must be positive, got {self.tau_max}")
 

@@ -115,6 +115,14 @@ def test_integer_too_large_for_a_float_gives_exit_2(tmp_path, capsys):
     assert "packet.sigma: integer too large" in capsys.readouterr().err
 
 
+def test_integer_past_the_digit_limit_gives_exit_2(tmp_path, capsys):
+    # PyYAML's int() refuses more than 4300 digits with a bare ValueError
+    p = tmp_path / "huge.yaml"
+    p.write_text("packet: {sigma: 1" + "0" * 5000 + "}\n")
+    assert cli_io.main(["arrival", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert f"cannot parse {p}" in capsys.readouterr().err
+
+
 def test_unknown_unit_error_names_alternatives():
     with pytest.raises(ConfigError, match="mm/s"):
         cli_io.parse_quantity("3 km/h", "velocity", "packet.velocity")
@@ -424,6 +432,7 @@ def test_precision_sweep_emission_with_stub(tmp_path, monkeypatch):
             std_tau=1e-3 * (e / e[0]) ** -0.75,
             delta_tau_opt=1.1e-3 * (e / e[0]) ** -0.75,
             total_probability=np.full(len(v0s), 0.97),
+            dt2=np.full(len(v0s), 1e-5),
             exponent=-0.75,
         )
 
@@ -437,6 +446,7 @@ def test_precision_sweep_emission_with_stub(tmp_path, monkeypatch):
     assert captured["n_entry"] == 32  # entry_grid.n sizes the sweep's entry grids
     doc = json.loads((out / "precision_sweep_summary.json").read_text())
     assert doc["results"]["exponent"] == -0.75
+    assert doc["results"]["dt2_seconds"] == [1e-5] * 7
     ref = doc["results"]["reference_plan_v0_7.17mm_s"]
     assert ref["a_opt_per_second"] == pytest.approx(1963.889203489088, rel=1e-12)
     header = (out / "precision_sweep.csv").read_text().split("\n")[0]

@@ -1,5 +1,6 @@
 """Width budget, optimal plans, and the scaling sweep machinery."""
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -167,6 +168,33 @@ def test_sweep_point_config_geometry(cesium):
     assert cfg.grid.n_points >= 1024
     assert cfg.tau_max > CES_D / CES_V0
     assert cfg.dt <= 1e-6
+
+
+def test_sweep_stage2_step_count_per_sample(cesium):
+    # G keeps its 10 dt spacing; stage 2 takes the fewest steps per sample
+    # that keep A dt2 <= 0.05: one at the paper's d, four at d = 5 um, 30 mm/s
+    cases = [(v0, CES_D, 1) for v0 in np.geomspace(3e-3, 30e-3, 7)] + [(30e-3, 5e-6, 4)]
+    for v0, d, m in cases:
+        cfg = pl.sweep_point_config(v0, d, cesium)
+        assert cfg.tau_stride == m
+        assert cfg.tau_stride * cfg.dt2 == 10.0 * cfg.dt
+        assert cfg.detector2.decay_a * cfg.dt2 <= 0.05
+
+
+@pytest.mark.parametrize("v0", [3e-3, 30e-3])
+def test_sweep_stage2_step_matches_dt2_equal_dt(cesium, v0):
+    # measured against dt2 = dt with stride 10 (one BLAS thread): std within
+    # 3.9e-5 and 2.9e-4 relative, mean 7.9e-7 and 1.7e-5, total 2.2e-5 and
+    # 5.6e-5 absolute at 3 and 30 mm/s; the bounds leave about 2x margin
+    cfg = pl.sweep_point_config(v0, 5e-6, cesium, n_entry=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.RegimeWarning)
+        _, ensemble = pl.arrival_stage(cfg)
+        got = pl.passage_distribution(cfg, ensemble)
+        want = pl.passage_distribution(replace(cfg, dt2=cfg.dt, tau_stride=10), ensemble)
+    assert got.std_tau == pytest.approx(want.std_tau, rel=6e-4)
+    assert got.mean_tau == pytest.approx(want.mean_tau, rel=4e-5)
+    assert got.total_probability == pytest.approx(want.total_probability, abs=1.2e-4)
 
 
 @pytest.mark.parametrize("v0", [2.98e-3, 3.0e-3, np.geomspace(3e-3, 30e-3, 7)[2]])
