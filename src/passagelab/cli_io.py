@@ -329,8 +329,7 @@ def _cmd_reset_state(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     want = conf["reset_state"]["at_time"]
     if want is None:
         want = peak_time(record)
-    steps = _entry_steps(cfg, record)
-    entry_times = record.times[0] + steps * cfg.dt
+    steps, entry_times = _entry_steps(cfg, record)
     i = int(np.argmin(np.abs(entry_times - want)))
     t_used = float(entry_times[i])
     row = _reset_row(cfg, int(steps[i]))
@@ -408,6 +407,11 @@ def _cmd_kijowski(conf: dict, out: Path, args: argparse.Namespace) -> dict:
 
 def _cmd_precision_sweep(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     sw = conf["sweep"]
+    if sw["n_points"] < 2:
+        raise ConfigError(f"sweep.n_points must be >= 2, got {sw['n_points']}")
+    for key in ("v0_min", "v0_max"):
+        if sw[key] <= 0.0:
+            raise ConfigError(f"sweep.{key} must be positive, got {sw[key]}")
     particle = _particle(conf)
     v0s = np.geomspace(sw["v0_min"], sw["v0_max"], sw["n_points"])
     # one worker runs the points in order; each point's bits are thread-free

@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 from math import erfc
 from numbers import Integral
+from typing import ClassVar
 
 import numpy as np
 
@@ -81,7 +82,8 @@ class ExperimentConfig:
     n_entry: int = 256
     tau_max: float | None = None
     tau_stride: int = 10
-    svd_keep: float = 1e-12
+    # stage 2 keeps the singular vectors above this share of the squared sum
+    svd_keep: ClassVar[float] = 1e-12
 
     def __post_init__(self) -> None:
         p1, p2 = self.detector1.profile, self.detector2.profile
@@ -89,10 +91,10 @@ class ExperimentConfig:
             raise ConfigError("detector 2 must start downstream of detector 1")
         if p1.b > p2.a:
             raise ConfigError("detector extents must be disjoint")
-        if self.dt <= 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.dt2 is not None and self.dt2 <= 0.0:
-            raise ConfigError(f"dt2 must be positive, got {self.dt2}")
+        for name in ("dt", "dt2", "tau_max"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         for name in ("tau_stride", "n_entry"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
@@ -101,10 +103,6 @@ class ExperimentConfig:
             raise ConfigError(f"tau_stride must be >= 1, got {self.tau_stride}")
         if self.n_entry < 2:
             raise ConfigError("n_entry must be >= 2")
-        if not 0.0 <= self.svd_keep < 1.0:
-            raise ConfigError(f"svd_keep must be in [0, 1), got {self.svd_keep}")
-        if self.tau_max is not None and self.tau_max <= 0.0:
-            raise ConfigError(f"tau_max must be positive, got {self.tau_max}")
 
     @property
     def distance_d(self) -> float:
@@ -179,6 +177,9 @@ def _detector1_start(cfg: ExperimentConfig) -> tuple[_Kernel, WaveFunction, int]
         t_start = min(_edge_crossing_time(packet, particle, det1.profile.a, -1.0), 0.0)
     if t_end is None:
         t_end = _edge_crossing_time(packet, particle, det1.profile.b, 1.0)
+    for name, t in (("t_start", t_start), ("t_end1", t_end)):
+        if not np.isfinite(t):
+            raise ConfigError(f"{name} must be finite, got {t}")
     if t_end <= t_start:
         raise ConfigError(f"t_end1 {t_end} must exceed t_start {t_start}")
     n_steps = int(round((t_end - t_start) / cfg.dt))
@@ -216,9 +217,9 @@ def _arrival_pass(
     return record, held, kernel.support
 
 
-def _entry_steps(cfg: ExperimentConfig, record: DetectionRecord) -> np.ndarray:
-    """Steps of the entry grid: detection-probability quantiles of the record,
-    snapped to steps in (0, n_steps]."""
+def _entry_steps(cfg: ExperimentConfig, record: DetectionRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Steps of the entry grid and their times: detection-probability
+    quantiles of the record, snapped to steps in (0, n_steps]."""
     times, cum = record.times, record.cumulative_detected
     q = np.linspace(*_ENTRY_WINDOW, cfg.n_entry)
     t_entry = np.interp(q * float(cum[-1]), cum, times)
@@ -226,7 +227,15 @@ def _entry_steps(cfg: ExperimentConfig, record: DetectionRecord) -> np.ndarray:
     idx = idx[(idx > 0) & (idx <= len(times) - 1)]
     if len(idx) < 2:
         raise NoDetectionError("entry grid collapsed to fewer than two times")
-    return idx
+    return idx, times[0] + idx * cfg.dt
+
+
+def _reset_states(cfg: ExperimentConfig, support: slice, held: np.ndarray) -> np.ndarray:
+    """Reset states sqrt(A) chi psi_cond from held (rows, n_support) slices of
+    the conditional state on detector 1's decay support; zero off it."""
+    states = np.zeros((len(held), cfg.grid.n_points), dtype=complex)
+    states[:, support] = cfg.detector1.reset_factor(cfg.grid)[support] * held
+    return states
 
 
 def _reset_row(cfg: ExperimentConfig, step: int) -> np.ndarray:
@@ -237,12 +246,9 @@ def _reset_row(cfg: ExperimentConfig, step: int) -> np.ndarray:
     evolving state, so the row has the bits of the ensemble row at that step.
     """
     kernel, psi0, _ = _detector1_start(cfg)
-    support = kernel.support
-    batch = _Batch(psi0.amplitudes[None, :], step, step, support)
+    batch = _Batch(psi0.amplitudes[None, :], step, step, kernel.support)
     _evolve_batch(kernel, batch)
-    state = np.zeros(cfg.grid.n_points, dtype=complex)
-    state[support] = cfg.detector1.reset_factor(cfg.grid)[support] * batch.held[-1, 0]
-    return state
+    return _reset_states(cfg, kernel.support, batch.held[-1])[0]
 
 
 def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble]:
@@ -263,13 +269,10 @@ def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble
     record, held, support = _arrival_pass(cfg, hold=True)
     times, cum = record.times, record.cumulative_detected
     p_detected = float(cum[-1])
-    idx = _entry_steps(cfg, record)
-    t_entry = times[0] + idx * cfg.dt
-
+    idx, t_entry = _entry_steps(cfg, record)
     rows = held[idx, 0]
     del held
-    states = np.zeros((len(idx), cfg.grid.n_points), dtype=complex)
-    states[:, support] = cfg.detector1.reset_factor(cfg.grid)[support] * rows
+    states = _reset_states(cfg, support, rows)
     norms_sq = np.sum(np.abs(states) ** 2, axis=-1) * cfg.grid.dx
     weights = np.empty(len(t_entry))
     weights[1:-1] = 0.5 * (t_entry[2:] - t_entry[:-2])

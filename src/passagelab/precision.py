@@ -11,7 +11,6 @@ E = m v0^2 / 2 the kinetic energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .passage import (
     arrival_stage,
     passage_distribution,
 )
+from .propagator import DetectionRecord
 
 __all__ = [
     "WidthBudget",
@@ -184,24 +184,20 @@ def convergence_probe(cfg: ExperimentConfig, rel_tol: float = 1e-3) -> tuple[flo
     Raises ConvergenceError when the width drift exceeds rel_tol; the mean
     drift is returned for diagnostics but not gated, because the sampled sharp
     detector edge biases it at first order in dx as a rigid time shift, which
-    cancels in entry-relative passage times.
+    cancels in entry-relative passage times. Both passes are record-only.
     """
-    drift_mean, drift_std, _ = _probe(cfg, rel_tol)
-    return drift_mean, drift_std
+    record, _, _ = _arrival_pass(cfg)
+    return _width_drift(cfg, record, rel_tol)
 
 
-def _probe(
-    cfg: ExperimentConfig, rel_tol: float = 1e-3
-) -> tuple[float, float, ResetEnsemble]:
-    """convergence_probe, also returning the reset ensemble of cfg itself."""
-
-    record, ensemble = arrival_stage(cfg)
+def _width_drift(
+    cfg: ExperimentConfig, record: DetectionRecord, rel_tol: float
+) -> tuple[float, float]:
+    """convergence_probe on an existing record of cfg: runs the dt/2, 2n pass alone."""
     _, m1, s1 = _moments(record.times, record.density_w1)
     g = cfg.grid
-    fine = replace(
-        cfg, grid=build_grid(g.x_min, g.x_max, 2 * g.n_points), dt=cfg.dt / 2.0
-    )
-    record, _, _ = _arrival_pass(fine)  # the record alone: no states held
+    fine = replace(cfg, grid=build_grid(g.x_min, g.x_max, 2 * g.n_points), dt=cfg.dt / 2.0)
+    record, _, _ = _arrival_pass(fine)
     _, m2, s2 = _moments(record.times, record.density_w1)
     drift_mean = abs(m2 - m1) / s1
     drift_std = abs(s2 - s1) / s1
@@ -210,7 +206,7 @@ def _probe(
             f"arrival width drift {drift_std:.2e} exceeds {rel_tol:.0e} "
             f"under dt/2 and 2n refinement"
         )
-    return drift_mean, drift_std, ensemble
+    return drift_mean, drift_std
 
 
 @dataclass(frozen=True)
@@ -224,13 +220,8 @@ class SweepResult:
     exponent: float
 
 
-def _sweep_point(
-    cfg: ExperimentConfig,
-    probed: ExperimentConfig | None = None,
-    ensemble: ResetEnsemble | None = None,
-) -> tuple[float, float]:
-    # the probed config reuses the reset ensemble its probe already computed
-    dist = passage_distribution(cfg, ensemble if cfg is probed else None)
+def _sweep_point(point: tuple[ExperimentConfig, ResetEnsemble | None]) -> tuple[float, float]:
+    dist = passage_distribution(*point)
     return dist.std_tau, dist.total_probability
 
 
@@ -245,9 +236,10 @@ def scaling_sweep(
     """Measured std(G) at per-v0 optimal parameters, with a log-log energy fit.
 
     With gate_first, the slowest run's arrival stage must pass the
-    self-convergence probe before the sweep proceeds. `mapper` lets a caller
-    supply an order-preserving parallel map (for example Executor.map); the
-    per-point work touches no shared state.
+    self-convergence probe before the sweep proceeds, and that point reuses
+    the stage's reset ensemble. `mapper` lets a caller supply an
+    order-preserving parallel map (for example Executor.map) over (config,
+    ensemble or None) pairs; the per-point work touches no shared state.
     """
     v0s = np.sort(np.asarray(v0_values, dtype=float))
     if len(v0s) < 2 or v0s[0] == v0s[-1]:
@@ -255,26 +247,24 @@ def scaling_sweep(
     if np.any(v0s <= 0.0):
         raise ConfigError("velocities must be positive")
     configs = [sweep_point_config(v0, d, particle, n_entry) for v0 in v0s]
-    point = _sweep_point
+    ensembles = [None] * len(configs)
     if gate_first:
+        record, ensembles[0] = arrival_stage(configs[0])
         try:
-            _, _, ensemble = _probe(configs[0])
+            _width_drift(configs[0], record, 1e-3)
         except ConvergenceError as exc:
             raise ConvergenceError(f"sweep aborted at v0={v0s[0]}: {exc}") from exc
-        point = partial(_sweep_point, probed=configs[0], ensemble=ensemble)
     plans = [optimal_plan(d, particle, v0) for v0 in v0s]
-    points = list(mapper(point, configs))
-    stds = np.array([p[0] for p in points])
-    totals = [p[1] for p in points]
-    dtaus = [plan.delta_tau_opt for plan in plans]
+    points = mapper(_sweep_point, zip(configs, ensembles))
+    stds, totals = map(np.array, zip(*points))
     energies = np.array([plan.energy for plan in plans])
     slope, _ = np.polyfit(np.log(energies), np.log(stds), 1)
     return SweepResult(
         v0=v0s,
         energy=energies,
         std_tau=stds,
-        delta_tau_opt=np.array(dtaus),
-        total_probability=np.array(totals),
+        delta_tau_opt=np.array([plan.delta_tau_opt for plan in plans]),
+        total_probability=totals,
         dt2=np.array([cfg.dt2 for cfg in configs]),
         exponent=float(slope),
     )

@@ -237,6 +237,18 @@ def test_kijowski_section_validated(tmp_path, capsys, section):
     assert not (tmp_path / "kijowski.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "section", ["{n_points: -1}", "{n_points: 0}", "{n_points: 1}", "{v0_min: 0}", "{v0_max: -3 mm/s}"]
+)
+def test_sweep_section_validated(tmp_path, capsys, section):
+    p = tmp_path / "sweep.yaml"
+    p.write_text(f"sweep: {section}\n")
+    assert cli_io.main(["precision-sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
+    key = section[1:].split(":")[0]
+    assert f"sweep.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "precision_sweep.csv").exists()
+
+
 def test_kijowski_ignores_threads_env_var(tmp_path, monkeypatch):
     # --threads is the one way to set the worker count
     monkeypatch.setenv("PASSAGELAB_THREADS", "abc")

@@ -46,14 +46,18 @@ def test_config_scalar_validation(toy_particle, toy_packet):
         toy_config(toy_particle, toy_packet, tau_stride=0)
     with pytest.raises(pl.ConfigError):
         toy_config(toy_particle, toy_packet, n_entry=1)
-    # a fractional stride used to label samples on the wrong grid, and an
-    # svd_keep of 1 or NaN to drop every row and report zero detection
+    # a fractional stride used to label samples on the wrong grid
     for key, bad in (("tau_stride", 2.5), ("n_entry", 64.0), ("n_entry", True)):
         with pytest.raises(pl.ConfigError, match=f"{key} must be an integer, got {bad!r}"):
             toy_config(toy_particle, toy_packet, **{key: bad})
-    for bad in (1.0, 2.0, -1e-12, np.nan, np.inf):
-        with pytest.raises(pl.ConfigError, match=f"svd_keep .* got {bad}"):
-            toy_config(toy_particle, toy_packet, svd_keep=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["dt", "dt2", "tau_max", "t_start", "t_end1"])
+def test_config_rejects_non_finite_times(toy_particle, toy_packet, key, bad):
+    # NaN used to pass the positivity checks and die in int(round(nan))
+    with pytest.raises(pl.ConfigError, match=f"^{key} must be .*finite, got {bad}"):
+        pl.arrival_stage(toy_config(toy_particle, toy_packet, **{key: bad}))
 
 
 def test_config_type_hints_resolve():

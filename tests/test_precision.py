@@ -1,4 +1,5 @@
 """Width budget, optimal plans, and the scaling sweep machinery."""
+import tracemalloc
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import passagelab as pl
-from passagelab import passage, precision, propagator
+from passagelab import passage, propagator
 from passagelab.exceptions import ConfigError, ConvergenceError
 
 from conftest import toy_config
@@ -251,10 +252,7 @@ def test_convergence_probe_rejects_width_drift(cesium, monkeypatch):
             cumulative_detected=np.zeros_like(t),
         )
 
-    # the coarse run goes through arrival_stage, the refined one is record-only
-    monkeypatch.setattr(
-        "passagelab.precision.arrival_stage", lambda c: (fake_record(c), None)
-    )
+    # both runs are record-only passes
     monkeypatch.setattr(
         "passagelab.precision._arrival_pass", lambda c: (fake_record(c), None, None)
     )
@@ -269,7 +267,7 @@ def test_convergence_probe_rejects_width_drift(cesium, monkeypatch):
 
 
 def test_refined_probe_run_holds_no_states(toy_particle, toy_packet, monkeypatch):
-    # the probe's dt/2, 2n run needs only its record: one pass, no ensemble
+    # the probe needs only the records of its two passes: no slices, no ensemble
     held, built = [], []
     evolve = propagator._evolve_batch
 
@@ -289,9 +287,24 @@ def test_refined_probe_run_holds_no_states(toy_particle, toy_packet, monkeypatch
     cfg = toy_config(toy_particle, toy_packet)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pl.RegimeWarning)
-        _, _, probed = precision._probe(cfg, rel_tol=1.0)
-    assert held == [True, False]  # the coarse run, then the refined one
-    assert built == [probed.states.shape]
+        pl.convergence_probe(cfg, rel_tol=1.0)
+    assert held == [False, False]  # the coarse run, then the refined one
+    assert built == []
+
+
+def test_convergence_probe_memory_below_half_the_held_stack(toy_particle, toy_packet):
+    cfg = toy_config(toy_particle, toy_packet)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.RegimeWarning)
+        record, _, support = passage._arrival_pass(cfg)
+        stack = (len(record.times) - 1) * (support.stop - support.start) * 16
+        tracemalloc.start()
+        try:
+            pl.convergence_probe(cfg, rel_tol=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < stack / 2
 
 
 def test_scaling_sweep_input_validation(cesium):
@@ -307,8 +320,9 @@ def test_scaling_sweep_mapper_wiring(cesium):
     # a stub mapper exercises ordering and assembly without running physics
     seen = []
 
-    def stub_mapper(fn, configs):
-        for cfg in configs:
+    def stub_mapper(fn, points):
+        for cfg, ensemble in points:
+            assert ensemble is None  # nothing was gated
             seen.append(cfg.packet.mean_velocity_v0)
             yield (1e-3 * (7e-3 / cfg.packet.mean_velocity_v0) ** 1.5, 0.99)
 
