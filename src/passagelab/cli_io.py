@@ -470,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
 
-    started = time.time()
+    started = time.perf_counter()
     try:
         conf = load_config(args.config)
         out = Path(args.out)
@@ -479,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
             warnings.simplefilter("always", RegimeWarning)
             payload = _COMMANDS[args.subcommand](conf, out, args)
         warned = [str(w.message) for w in caught if issubclass(w.category, RegimeWarning)]
-        payload["runtime_seconds"] = round(time.time() - started, 3)
+        payload["runtime_seconds"] = round(time.perf_counter() - started, 3)
         _summary(out, args.subcommand, conf, payload, warned)
         for line in warned:
             print(f"warning: {line}", file=sys.stderr)

@@ -16,6 +16,22 @@ import numpy as np
 
 from .exceptions import ConfigError, GridError, GridTooNarrowError, ZeroNormError
 
+__all__ = [
+    "CESIUM_MASS",
+    "HBAR",
+    "GaussianPacketSpec",
+    "Moments",
+    "ParticleSpec",
+    "SpatialGrid",
+    "WaveFunction",
+    "build_grid",
+    "cesium",
+    "free_sigma_x",
+    "gaussian_free_state",
+    "momentum_amplitudes",
+    "observables",
+]
+
 HBAR = 1.054571817e-34  # J s
 CESIUM_MASS = 2.2069e-25  # kg
 

@@ -1,5 +1,18 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "PassageLabError",
+    "ConfigError",
+    "GridError",
+    "GridTooNarrowError",
+    "ZeroNormError",
+    "ZeroOverlapError",
+    "NoDetectionError",
+    "InstabilityError",
+    "ConvergenceError",
+    "RegimeWarning",
+]
+
 
 class PassageLabError(Exception):
     """Base class for all errors raised by this package."""

@@ -201,9 +201,7 @@ def _arrival_pass(
     else 0.
     """
     kernel, psi0, n_steps = _detector1_start(cfg)
-    _, record, held = _conditional(
-        kernel, psi0, n_steps, cfg.dt, kernel.support if hold else slice(0, 0)
-    )
+    _, record, held = _conditional(kernel, psi0, n_steps, cfg.dt, hold)
     p_detected = float(record.cumulative_detected[-1])
     if p_detected <= 0.0:
         raise NoDetectionError("detector 1 accumulated no detection probability")
@@ -246,7 +244,7 @@ def _reset_row(cfg: ExperimentConfig, step: int) -> np.ndarray:
     evolving state, so the row has the bits of the ensemble row at that step.
     """
     kernel, psi0, _ = _detector1_start(cfg)
-    batch = _Batch(psi0.amplitudes[None, :], step, step, kernel.support)
+    batch = _Batch(psi0.amplitudes[None, :], step, step, len(kernel.decay))
     _evolve_batch(kernel, batch)
     return _reset_states(cfg, kernel.support, batch.held[-1])[0]
 

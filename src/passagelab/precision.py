@@ -41,6 +41,8 @@ __all__ = [
 
 # largest A dt2 a sweep point's stage-2 split step may take
 _STAGE2_ADT = 0.05
+# largest arrival width drift the convergence probe lets through
+_WIDTH_DRIFT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -176,24 +178,22 @@ def sweep_point_config(
     )
 
 
-def convergence_probe(cfg: ExperimentConfig, rel_tol: float = 1e-3) -> tuple[float, float]:
+def convergence_probe(
+    cfg: ExperimentConfig, record: DetectionRecord | None = None
+) -> tuple[float, float]:
     """Self-convergence gate on the arrival-stage width.
 
     Reruns detector-1's w1 with dt halved and n_points doubled and compares the
     first two moments of the detection density, both scaled by the width.
-    Raises ConvergenceError when the width drift exceeds rel_tol; the mean
-    drift is returned for diagnostics but not gated, because the sampled sharp
+    Raises ConvergenceError when the width drift exceeds 1e-3; the mean drift
+    is returned for diagnostics but not gated, because the sampled sharp
     detector edge biases it at first order in dx as a rigid time shift, which
-    cancels in entry-relative passage times. Both passes are record-only.
+    cancels in entry-relative passage times. Given record, cfg's detector-1
+    record from a pass the caller already ran (for example arrival_stage's),
+    only the refined pass runs. The probe's own passes are record-only.
     """
-    record, _, _ = _arrival_pass(cfg)
-    return _width_drift(cfg, record, rel_tol)
-
-
-def _width_drift(
-    cfg: ExperimentConfig, record: DetectionRecord, rel_tol: float
-) -> tuple[float, float]:
-    """convergence_probe on an existing record of cfg: runs the dt/2, 2n pass alone."""
+    if record is None:
+        record, _, _ = _arrival_pass(cfg)
     _, m1, s1 = _moments(record.times, record.density_w1)
     g = cfg.grid
     fine = replace(cfg, grid=build_grid(g.x_min, g.x_max, 2 * g.n_points), dt=cfg.dt / 2.0)
@@ -201,9 +201,9 @@ def _width_drift(
     _, m2, s2 = _moments(record.times, record.density_w1)
     drift_mean = abs(m2 - m1) / s1
     drift_std = abs(s2 - s1) / s1
-    if drift_std > rel_tol:
+    if drift_std > _WIDTH_DRIFT_TOL:
         raise ConvergenceError(
-            f"arrival width drift {drift_std:.2e} exceeds {rel_tol:.0e} "
+            f"arrival width drift {drift_std:.2e} exceeds {_WIDTH_DRIFT_TOL:.0e} "
             f"under dt/2 and 2n refinement"
         )
     return drift_mean, drift_std
@@ -235,9 +235,9 @@ def scaling_sweep(
 ) -> SweepResult:
     """Measured std(G) at per-v0 optimal parameters, with a log-log energy fit.
 
-    With gate_first, the slowest run's arrival stage must pass the
-    self-convergence probe before the sweep proceeds, and that point reuses
-    the stage's reset ensemble. `mapper` lets a caller supply an
+    With gate_first, the slowest point's arrival stage runs first, its record
+    must pass convergence_probe before the sweep proceeds, and that point
+    reuses the stage's reset ensemble. `mapper` lets a caller supply an
     order-preserving parallel map (for example Executor.map) over (config,
     ensemble or None) pairs; the per-point work touches no shared state.
     """
@@ -251,7 +251,7 @@ def scaling_sweep(
     if gate_first:
         record, ensembles[0] = arrival_stage(configs[0])
         try:
-            _width_drift(configs[0], record, 1e-3)
+            convergence_probe(configs[0], record)
         except ConvergenceError as exc:
             raise ConvergenceError(f"sweep aborted at v0={v0s[0]}: {exc}") from exc
     plans = [optimal_plan(d, particle, v0) for v0 in v0s]

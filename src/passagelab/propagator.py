@@ -140,10 +140,11 @@ def _kernel(
 class _Batch:
     """Every array one batch run writes, allocated before the run starts.
 
-    amps (r, n) is the state, evolved in place; spec and closed are the FFT and
-    closure buffers, dens the |psi|^2 scratch. w1 and nsq (r, n_samples) take
-    the samples at steps; held (n_samples, r, len(hold)) the closed states on
-    the slice hold at the same samples (none by default).
+    amps (r, n) is the state, evolved in place; spec is the FFT buffer, whose
+    span of the kernel is free between steps and takes each sample's closed
+    state there; dens is the |psi|^2 scratch. w1 and nsq (r, n_samples) take
+    the samples at steps; held (n_samples, r, n_held) the closed states on the
+    kernel's span at the same samples, with n_held its length (none by default).
     """
 
     def __init__(
@@ -151,11 +152,10 @@ class _Batch:
         amps: np.ndarray,
         n_steps: int,
         sample_stride: int,
-        hold: slice = slice(0, 0),
+        n_held: int = 0,
     ) -> None:
         self.amps = np.array(amps, dtype=complex)
         self.spec = np.empty_like(self.amps)
-        self.closed = np.empty_like(self.amps)
         self.dens = np.empty(self.amps.shape)
         self.n_steps = n_steps
         self.sample_stride = sample_stride
@@ -166,22 +166,27 @@ class _Batch:
         rows = self.amps.shape[0]
         self.w1 = np.empty((rows, len(steps)))
         self.nsq = np.empty((rows, len(steps)))
-        self.hold = hold
-        self.held = np.empty((len(steps),) + self.amps[:, hold].shape, dtype=complex)
+        self.held = np.empty((len(steps), rows, n_held), dtype=complex)
 
 
-def _sample(kernel: _Kernel, batch: _Batch, closed: np.ndarray, j: int) -> None:
-    """Write w1 and norm^2 of the closed states, and the held slice, into sample j."""
-    batch.held[j] = closed[:, batch.hold]
+def _sample(kernel: _Kernel, batch: _Batch, closed_on: np.ndarray, j: int) -> None:
+    """Write w1 and norm^2 of the closed states, and their held span, into sample j.
+
+    The closed state is closed_on on the kernel's span and batch.amps off it,
+    where the potential factors are exactly 1.
+    """
+    if batch.held.shape[-1]:
+        batch.held[j] = closed_on
     dens = batch.dens
-    np.abs(closed, out=dens)
+    on_support = dens[:, kernel.support]
+    np.abs(batch.amps, out=dens)
+    np.abs(closed_on, out=on_support)
     np.square(dens, out=dens)
     nsq = batch.nsq[:, j]
     np.sum(dens, axis=-1, out=nsq)
     nsq *= kernel.dx
     # a per-row numpy sum, not a BLAS product, whose per-row result changes
     # with the number of rows: a row's bits must not depend on its batch
-    on_support = dens[:, kernel.support]
     np.multiply(on_support, kernel.decay, out=on_support)
     w1 = batch.w1[:, j]
     np.sum(on_support, axis=-1, out=w1)
@@ -193,14 +198,14 @@ def _evolve_batch(kernel: _Kernel, batch: _Batch) -> None:
 
     The merged-half-step loop keeps the per-step cost at two batched FFTs plus
     one multiply on the potential's span, and allocates nothing. Sampled
-    states are closed with the trailing half factor.
+    states are closed with the trailing half factor on that span alone.
     """
-    amps, spec, closed = batch.amps, batch.spec, batch.closed
-    # views of the potential's span, updated in place as amps and closed change
-    amps_on, closed_on = amps[:, kernel.support], closed[:, kernel.support]
+    amps, spec = batch.amps, batch.spec
+    # views of the potential's span, updated in place as amps and spec change
+    amps_on, closed_on = amps[:, kernel.support], spec[:, kernel.support]
     kin, vhalf, vfull = kernel.kin, kernel.vhalf, kernel.vfull
     n_steps, stride = batch.n_steps, batch.sample_stride
-    _sample(kernel, batch, amps, 0)
+    _sample(kernel, batch, amps_on, 0)
     j = 1
     amps_on *= vhalf
     for s in range(1, n_steps + 1):
@@ -208,11 +213,10 @@ def _evolve_batch(kernel: _Kernel, batch: _Batch) -> None:
         spec *= kin
         np.fft.ifft(spec, axis=-1, out=amps)
         if s % stride == 0 or s == n_steps:
-            np.copyto(closed, amps)
-            closed_on *= vhalf
-            if not np.isfinite(closed.view(float).sum()):
+            np.multiply(amps_on, vhalf, out=closed_on)
+            _sample(kernel, batch, closed_on, j)
+            if not np.all(np.isfinite(batch.nsq[:, j])):
                 raise InstabilityError(f"non-finite amplitudes at step {s}")
-            _sample(kernel, batch, closed, j)
             j += 1
         if s < n_steps:
             amps_on *= vfull
@@ -245,14 +249,15 @@ def _evolve_rows(
 
 
 def _conditional(
-    kernel: _Kernel, psi0: WaveFunction, n_steps: int, dt: float, hold=slice(0, 0)
+    kernel: _Kernel, psi0: WaveFunction, n_steps: int, dt: float, hold: bool = False
 ) -> tuple[WaveFunction, DetectionRecord, np.ndarray]:
     """Evolve psi0 by n_steps, sampling every step; the one maker of a record.
 
-    Also returns the closed state on the slice hold at every sample,
-    (n_steps + 1, 1, len(hold)).
+    With hold, also returns the closed state on the kernel's span at every
+    sample, (n_steps + 1, 1, n_span); else (n_steps + 1, 1, 0).
     """
-    batch = _Batch(psi0.amplitudes[None, :], n_steps, 1, hold)
+    n_held = len(kernel.decay) if hold else 0
+    batch = _Batch(psi0.amplitudes[None, :], n_steps, 1, n_held)
     _evolve_batch(kernel, batch)
     times = psi0.time + batch.steps * dt
     w1 = batch.w1[0]

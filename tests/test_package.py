@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves and the submodules agree."""
 import importlib
 import pkgutil
+from collections import Counter
 
 import pytest
 
@@ -32,3 +33,15 @@ def test_submodule_exports_are_package_exports(name):
     assert set(module.__all__) <= set(pl.__all__)
     for attr in module.__all__:
         assert getattr(module, attr) is getattr(pl, attr)
+
+
+def test_each_export_is_declared_by_one_submodule():
+    # the package declares no name itself: its export list is the union of
+    # the submodules' lists, each name in exactly one
+    owners = Counter(
+        attr
+        for name in _SUBMODULES
+        for attr in importlib.import_module(f"passagelab.{name}").__all__
+    )
+    assert set(owners.values()) == {1}
+    assert sorted(owners) == sorted(pl.__all__)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import passagelab as pl
-from passagelab import passage, propagator
+from passagelab import passage, precision, propagator
 from passagelab.exceptions import ConfigError, ConvergenceError
 
 from conftest import toy_config
@@ -287,7 +287,7 @@ def test_refined_probe_run_holds_no_states(toy_particle, toy_packet, monkeypatch
     cfg = toy_config(toy_particle, toy_packet)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pl.RegimeWarning)
-        pl.convergence_probe(cfg, rel_tol=1.0)
+        pl.convergence_probe(cfg)
     assert held == [False, False]  # the coarse run, then the refined one
     assert built == []
 
@@ -300,11 +300,60 @@ def test_convergence_probe_memory_below_half_the_held_stack(toy_particle, toy_pa
         stack = (len(record.times) - 1) * (support.stop - support.start) * 16
         tracemalloc.start()
         try:
-            pl.convergence_probe(cfg, rel_tol=1.0)
+            pl.convergence_probe(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peak < stack / 2
+
+
+def test_convergence_probe_on_a_held_record_skips_the_coarse_pass(toy_run, monkeypatch):
+    # arrival_stage's record has the bits of the record-only pass
+    cfg = toy_run["cfg"]
+    passes = []
+    arrival_pass = precision._arrival_pass
+
+    def counting_pass(c):
+        passes.append(c.grid.n_points)
+        return arrival_pass(c)
+
+    monkeypatch.setattr(precision, "_arrival_pass", counting_pass)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.RegimeWarning)
+        alone = pl.convergence_probe(cfg)
+        n_alone = len(passes)
+        given = pl.convergence_probe(cfg, record=toy_run["record"])
+    assert given == alone
+    assert n_alone == 2
+    assert passes[n_alone:] == [2 * cfg.grid.n_points]
+
+
+def test_scaling_sweep_gates_through_convergence_probe(cesium, monkeypatch):
+    # one public gate, on the record of the arrival stage the sweep runs
+    staged, gated = [], []
+    record, ensemble = object(), object()
+
+    def fake_stage(cfg):
+        staged.append(cfg)
+        return record, ensemble
+
+    def spy_probe(*args, **kwargs):
+        gated.append((args, kwargs))
+        return 0.0, 0.0
+
+    def fake_passage(cfg, ensemble=None):
+        v0 = cfg.packet.mean_velocity_v0
+        return SimpleNamespace(std_tau=1e-3 * (7e-3 / v0) ** 1.5, total_probability=0.99)
+
+    monkeypatch.setattr(precision, "arrival_stage", fake_stage)
+    monkeypatch.setattr(precision, "convergence_probe", spy_probe)
+    monkeypatch.setattr(precision, "passage_distribution", fake_passage)
+    pl.scaling_sweep(np.array([10e-3, 3e-3]), CES_D, cesium)
+    assert len(staged) == 1 and staged[0].packet.mean_velocity_v0 == 3e-3
+    assert len(gated) == 1
+    args, kwargs = gated[0]
+    bound = dict(zip(("cfg", "record"), args), **kwargs)
+    assert bound["cfg"] is staged[0] and bound["record"] is record
 
 
 def test_scaling_sweep_input_validation(cesium):

@@ -193,6 +193,20 @@ def test_batch_row_bits_do_not_depend_on_batch():
         assert np.array_equal(alone.amps[0], full.amps[i])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("stride", [5, 1])
+def test_kernel_rejects_non_finite_state_at_first_sample(bad, stride):
+    # a non-finite point in one row spreads over it in the first FFT; the
+    # kernel must stop at the first sample after step 0
+    particle, grid, pot, rows = _detector_rows(3)
+    batch = _Batch(rows, 10, stride)
+    batch.amps[1, 0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(
+        pl.InstabilityError, match=f"at step {stride}$"
+    ):
+        _evolve_batch(_kernel(grid, particle, pot, 1e-6), batch)
+
+
 def test_kernel_steps_on_the_span_of_decay_or_shift():
     # a shift where the decay rate is zero: the kernel's span must cover it,
     # and multiplying on that span only gives the full-width loop's bits
