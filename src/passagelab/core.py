@@ -124,7 +124,7 @@ class WaveFunction:
                 f"({self.grid.n_points} points)"
             )
         if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes contain NaN/Inf")
+            raise ConfigError("WaveFunction amplitudes must be finite")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     def norm_sq(self) -> float:

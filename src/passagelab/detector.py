@@ -99,14 +99,14 @@ def kappa(bath: DiscreteBathSpec, tau: float, mode: str = "discrete") -> complex
     mode="discrete": the finite sum over modes. mode="continuum": the closed
     form of the dense-spectrum limit, with a series branch near tau=0.
     """
-    if tau < 0.0:
-        raise ValueError(f"kappa is defined for tau >= 0, got {tau}")
+    if not tau >= 0.0:
+        raise ConfigError(f"kappa is defined for tau >= 0, got {tau}")
     w0, wm, g = bath.omega_0, bath.omega_max, bath.coupling_g
     if mode == "discrete":
         wn = bath.mode_frequencies()
         return complex(np.sum(bath.coupling_sq() * np.exp(-1j * (wn - w0) * tau)))
     if mode != "continuum":
-        raise ValueError(f"unknown kappa mode {mode!r}")
+        raise ConfigError(f"unknown kappa mode {mode!r}")
     a = wm - w0
     if abs(wm * tau) < 1e-3:
         # series of [(1+i wm t) e^{-i a t} - e^{i w0 t}]/t^2 around t=0

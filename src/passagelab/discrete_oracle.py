@@ -87,7 +87,7 @@ class DensityProfile:
         if v.shape != (self.grid.n_points,):
             raise ConfigError("density length does not match the grid")
         if np.any(v < 0.0):
-            raise ValueError("density must be >= 0")
+            raise ConfigError("density must be >= 0")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -244,7 +244,7 @@ def _reset_row(cfg: ExperimentConfig, step: int) -> np.ndarray:
     evolving state, so the row has the bits of the ensemble row at that step.
     """
     kernel, psi0, _ = _detector1_start(cfg)
-    batch = _Batch(psi0.amplitudes[None, :], step, step, len(kernel.decay))
+    batch = _Batch(kernel, psi0.amplitudes[None, :], step, step, hold=True)
     _evolve_batch(kernel, batch)
     return _reset_states(cfg, kernel.support, batch.held[-1])[0]
 
@@ -338,12 +338,12 @@ def passage_distribution(
     basis[:, span] = svals[keep, None] * vrows[keep]
 
     pot2 = cfg.detector2.potential_field(grid)  # detector 1 is off in stage 2
-    steps, w1rows, nsqrows = _evolve_rows(
+    steps, w1rows, final_nsq = _evolve_rows(
         _kernel(grid, particle, pot2, dt2), basis, n_steps, cfg.tau_stride
     )
     tau = steps * dt2
     g_tau = np.sum(w1rows, axis=0)
-    residual_2 = float(np.sum(nsqrows[:, -1]))
+    residual_2 = float(np.sum(final_nsq))
 
     total, mean, std = _moments(tau, g_tau)
     entry_truncation = ensemble.p_detected_1 - ensemble.captured_mass

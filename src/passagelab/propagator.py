@@ -6,6 +6,9 @@ the main loop costs two FFTs and one pointwise multiply per step; sampled
 states are closed with the trailing half factor before observables are taken.
 The potential factors are exactly 1 outside the span where the decay rate or
 the shift is non-zero, so the batched kernel multiplies on that span only.
+A sample takes only the moduli of the closed state; squares, sums and the
+finiteness check run once per block of samples, with the same bits as one
+sample at a time.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ class ComplexPotentialField:
         if decay.shape != (n,) or shift.shape != (n,):
             raise GridError("potential arrays must match the grid length")
         if not (np.all(np.isfinite(decay)) and np.all(np.isfinite(shift))):
-            raise ValueError("potential contains NaN/Inf")
+            raise ConfigError("decay_rate and real_shift must be finite")
         if np.any(decay < 0.0):
             raise ConfigError("decay_rate must be >= 0 everywhere")
         decay.setflags(write=False)
@@ -72,12 +75,16 @@ def _potential_half_factor(pot: ComplexPotentialField, dt: float) -> np.ndarray:
     return np.exp(-(pot.decay_rate + 1j * pot.real_shift) * (dt * 0.25))
 
 
+def _check_dt(dt: float) -> None:
+    if not (dt > 0.0 and np.isfinite(dt)):
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
+
+
 def step(
     psi: WaveFunction, pot: ComplexPotentialField, particle: ParticleSpec, dt: float
 ) -> WaveFunction:
     """One Strang step of size dt."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     if pot.grid != psi.grid:
         raise GridError("potential and state live on different grids")
     vhalf = _potential_half_factor(pot, dt)
@@ -137,104 +144,149 @@ def _kernel(
     )
 
 
+# the most bytes a batch's block of sample moduli may take; a block holds at
+# least one sample
+_BLOCK_BYTES = 1 << 20
+
+
 class _Batch:
     """Every array one batch run writes, allocated before the run starts.
 
     amps (r, n) is the state, evolved in place; spec is the FFT buffer, whose
     span of the kernel is free between steps and takes each sample's closed
-    state there; dens is the |psi|^2 scratch. w1 and nsq (r, n_samples) take
-    the samples at steps; held (n_samples, r, n_held) the closed states on the
-    kernel's span at the same samples, with n_held its length (none by default).
+    state there. w1 (r, n_samples) takes the samples at steps. With norms,
+    nsq (r, n_samples) takes every sample's norm^2; without, nsq (r, 1) takes
+    the last sample's only, and the other samples read the kernel's span
+    alone. With hold, held (n_samples, r, n_span) takes the closed states on
+    the kernel's span at the same samples; else it is (n_samples, r, 0).
+    dens (block, r, width) takes |closed state| at up to block samples, on
+    the whole grid with norms and on the span without, until they are
+    reduced together; block keeps it within _BLOCK_BYTES.
     """
 
     def __init__(
         self,
+        kernel: _Kernel,
         amps: np.ndarray,
         n_steps: int,
         sample_stride: int,
-        n_held: int = 0,
+        hold: bool = False,
+        norms: bool = True,
     ) -> None:
         self.amps = np.array(amps, dtype=complex)
         self.spec = np.empty_like(self.amps)
-        self.dens = np.empty(self.amps.shape)
         self.n_steps = n_steps
         self.sample_stride = sample_stride
+        self.norms = norms
         steps = np.arange(0, n_steps + 1, sample_stride)
         if steps[-1] != n_steps:
             steps = np.append(steps, n_steps)
         self.steps = steps
-        rows = self.amps.shape[0]
+        rows, n = self.amps.shape
+        n_span = len(kernel.decay)
         self.w1 = np.empty((rows, len(steps)))
-        self.nsq = np.empty((rows, len(steps)))
-        self.held = np.empty((len(steps), rows, n_held), dtype=complex)
+        self.nsq = np.empty((rows, len(steps) if norms else 1))
+        self.held = np.empty((len(steps), rows, n_span if hold else 0), dtype=complex)
+        width = n if norms else n_span
+        block = max(1, min(len(steps), _BLOCK_BYTES // max(1, rows * width * 8)))
+        self.dens = np.empty((block, rows, width))
 
 
-def _sample(kernel: _Kernel, batch: _Batch, closed_on: np.ndarray, j: int) -> None:
-    """Write w1 and norm^2 of the closed states, and their held span, into sample j.
-
-    The closed state is closed_on on the kernel's span and batch.amps off it,
-    where the potential factors are exactly 1.
-    """
-    if batch.held.shape[-1]:
-        batch.held[j] = closed_on
-    dens = batch.dens
-    on_support = dens[:, kernel.support]
-    np.abs(batch.amps, out=dens)
-    np.abs(closed_on, out=on_support)
+def _reduce(kernel: _Kernel, batch: _Batch, j0: int, m: int) -> None:
+    """Turn the moduli in batch.dens[:m] into samples j0 .. j0 + m - 1 and
+    check them; sample 0, the given state, is not checked."""
+    dens = batch.dens[:m]
     np.square(dens, out=dens)
-    nsq = batch.nsq[:, j]
-    np.sum(dens, axis=-1, out=nsq)
-    nsq *= kernel.dx
+    j1 = j0 + m
+    if batch.norms:
+        nsq = batch.nsq[:, j0:j1]
+        np.sum(dens, axis=-1, out=nsq.T)
+        nsq *= kernel.dx
+        dens = dens[:, :, kernel.support]
     # a per-row numpy sum, not a BLAS product, whose per-row result changes
     # with the number of rows: a row's bits must not depend on its batch
-    np.multiply(on_support, kernel.decay, out=on_support)
-    w1 = batch.w1[:, j]
-    np.sum(on_support, axis=-1, out=w1)
+    np.multiply(dens, kernel.decay, out=dens)
+    w1 = batch.w1[:, j0:j1]
+    np.sum(dens, axis=-1, out=w1.T)
     w1 *= kernel.dx
+    # without norms, w1 sees a non-finite row at the same sample: one FFT
+    # spreads a non-finite point over the whole row
+    c0 = max(j0, 1)
+    finite = np.isfinite((batch.nsq if batch.norms else batch.w1)[:, c0:j1])
+    if not np.all(finite):
+        first = c0 + int(np.argmin(np.all(finite, axis=0)))
+        raise InstabilityError(f"non-finite amplitudes at step {batch.steps[first]}")
 
 
 def _evolve_batch(kernel: _Kernel, batch: _Batch) -> None:
     """Evolve batch.amps in place and fill its samples.
 
     The merged-half-step loop keeps the per-step cost at two batched FFTs plus
-    one multiply on the potential's span, and allocates nothing. Sampled
-    states are closed with the trailing half factor on that span alone.
+    one multiply on the potential's span, and allocates nothing. A sample
+    closes the state with the trailing half factor on that span alone and
+    writes its modulus into the next row of batch.dens; the squares, sums and
+    finiteness check run once per block of samples, in _reduce.
     """
-    amps, spec = batch.amps, batch.spec
+    amps, spec, dens = batch.amps, batch.spec, batch.dens
+    norms, support = batch.norms, kernel.support
     # views of the potential's span, updated in place as amps and spec change
-    amps_on, closed_on = amps[:, kernel.support], spec[:, kernel.support]
+    amps_on, spec_on = amps[:, support], spec[:, support]
+    dens_on = dens[:, :, support] if norms else dens
+    held = batch.held if batch.held.shape[-1] else None
     kin, vhalf, vfull = kernel.kin, kernel.vhalf, kernel.vfull
-    n_steps, stride = batch.n_steps, batch.sample_stride
-    _sample(kernel, batch, amps_on, 0)
-    j = 1
+    n_steps, stride, block = batch.n_steps, batch.sample_stride, len(dens)
+    # sample 0 is the given state, which no half factor has touched
+    if held is not None:
+        held[0] = amps_on
+    np.abs(amps if norms else amps_on, out=dens[0])
+    j, k = 1, 1  # the next sample and its row in dens
     amps_on *= vhalf
     for s in range(1, n_steps + 1):
         np.fft.fft(amps, axis=-1, out=spec)
         spec *= kin
         np.fft.ifft(spec, axis=-1, out=amps)
         if s % stride == 0 or s == n_steps:
-            np.multiply(amps_on, vhalf, out=closed_on)
-            _sample(kernel, batch, closed_on, j)
-            if not np.all(np.isfinite(batch.nsq[:, j])):
-                raise InstabilityError(f"non-finite amplitudes at step {s}")
+            if k == block:
+                _reduce(kernel, batch, j - k, k)
+                k = 0
+            closed = spec_on if held is None else held[j]
+            np.multiply(amps_on, vhalf, out=closed)
+            if norms:
+                np.abs(amps, out=dens[k])
+            np.abs(closed, out=dens_on[k])
             j += 1
+            k += 1
         if s < n_steps:
             amps_on *= vfull
+    if not norms:
+        # the last sample's norm^2: |closed| is |amps| off the span and
+        # dens[k - 1] on it; spec is free after the last step
+        last = spec.view(float)[:, : amps.shape[-1]]
+        np.abs(amps, out=last)
+        last[:, support] = dens[k - 1]
+        np.square(last, out=last)
+        np.sum(last, axis=-1, out=batch.nsq[:, 0])
+        batch.nsq *= kernel.dx
+    _reduce(kernel, batch, j - k, k)
     amps_on *= vhalf
 
 
 def _evolve_rows(
     kernel: _Kernel, rows: np.ndarray, n_steps: int, sample_stride: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evolve independent rows on the usable cores; (steps, w1, norm^2) rows.
+    """Evolve independent rows on the usable cores; (steps, w1 rows, final norm^2).
 
     The rows are split into contiguous chunks, one per core. Every chunk's
     arrays are allocated here, in the calling thread; the pool threads run
     only the kernel. Because the kernel's per-row results do not depend on
-    the batch, the output is the same for any number of chunks.
+    the batch, the output is the same for any number of chunks. Samples
+    read the kernel's span only, and the norm is taken at the last sample.
     """
     n_chunks = max(1, min(_usable_cores(), len(rows)))
-    batches = [_Batch(c, n_steps, sample_stride) for c in np.array_split(rows, n_chunks)]
+    batches = [
+        _Batch(kernel, c, n_steps, sample_stride, norms=False)
+        for c in np.array_split(rows, n_chunks)
+    ]
     if n_chunks == 1:
         _evolve_batch(kernel, batches[0])
     else:
@@ -244,7 +296,7 @@ def _evolve_rows(
         for future in futures:
             future.result()
     w1 = np.concatenate([b.w1 for b in batches])
-    nsq = np.concatenate([b.nsq for b in batches])
+    nsq = np.concatenate([b.nsq[:, 0] for b in batches])
     return batches[0].steps, w1, nsq
 
 
@@ -256,8 +308,7 @@ def _conditional(
     With hold, also returns the closed state on the kernel's span at every
     sample, (n_steps + 1, 1, n_span); else (n_steps + 1, 1, 0).
     """
-    n_held = len(kernel.decay) if hold else 0
-    batch = _Batch(psi0.amplitudes[None, :], n_steps, 1, n_held)
+    batch = _Batch(kernel, psi0.amplitudes[None, :], n_steps, 1, hold)
     _evolve_batch(kernel, batch)
     times = psi0.time + batch.steps * dt
     w1 = batch.w1[0]
@@ -280,13 +331,19 @@ def evolve_conditional(
 
     The returned state is the conditional (unnormalized) state at t_final.
     """
+    _check_dt(dt)
+    if not np.isfinite(t_final):
+        raise ConfigError(f"t_final must be finite, got {t_final}")
     if pot.grid != psi0.grid:
         raise GridError("potential and state live on different grids")
     if t_final <= psi0.time:
-        raise ValueError(f"t_final {t_final} must exceed the state time {psi0.time}")
-    n_steps = int(round((t_final - psi0.time) / dt))
+        raise ConfigError(f"t_final {t_final} must exceed the state time {psi0.time}")
+    ratio = (t_final - psi0.time) / dt
+    if not np.isfinite(ratio):
+        raise ConfigError(f"(t_final - t0) / dt overflows, t_final={t_final}, dt={dt}")
+    n_steps = int(round(ratio))
     if n_steps < 1:
-        raise ValueError("t_final - t0 shorter than one step")
+        raise ConfigError("t_final - t0 shorter than one step")
     return _conditional(_kernel(psi0.grid, particle, pot, dt), psi0, n_steps, dt)[:2]
 
 

@@ -128,6 +128,15 @@ def test_wavefunction_amplitudes_read_only():
         psi.amplitudes[0] = 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+def test_wavefunction_rejects_non_finite_amplitudes(bad):
+    grid = pl.build_grid(-1e-6, 1e-6, 64)
+    amps = np.ones(64, dtype=complex)
+    amps[7] = bad
+    with pytest.raises(pl.ConfigError, match="amplitudes must be finite"):
+        pl.WaveFunction(grid=grid, amplitudes=amps, time=0.0)
+
+
 def test_wavefunction_length_must_match_grid():
     grid = pl.build_grid(-1e-6, 1e-6, 64)
     with pytest.raises(pl.GridError):

@@ -117,8 +117,15 @@ def test_kappa_discrete_converges_to_continuum_like_1_over_n():
 
 
 def test_kappa_negative_tau_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(pl.ConfigError):
         pl.kappa(_bath(), -1e-13)
+
+
+def test_kappa_nan_tau_and_unknown_mode_rejected():
+    with pytest.raises(pl.ConfigError, match="tau >= 0, got nan"):
+        pl.kappa(_bath(), float("nan"))
+    with pytest.raises(pl.ConfigError, match="unknown kappa mode"):
+        pl.kappa(_bath(), 0.0, mode="lattice")
 
 
 def test_potential_field_uses_chi_squared():

@@ -282,3 +282,11 @@ def test_compare_densities_zero_profile_rejected():
     zero = pl.DensityProfile(grid=grid, values=np.zeros(grid.n_points), normalization=0.0)
     with pytest.raises(pl.ZeroNormError):
         pl.compare_densities(cont, zero)
+
+
+def test_density_profile_rejects_negative_values():
+    grid = pl.build_grid(-1e-6, 1e-6, 64)
+    values = np.zeros(64)
+    values[3] = -1e-30
+    with pytest.raises(pl.ConfigError, match="density must be >= 0"):
+        discrete_oracle.DensityProfile(grid=grid, values=values, normalization=1.0)

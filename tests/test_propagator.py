@@ -1,9 +1,14 @@
 """Split-operator evolution against closed-form references."""
+import dataclasses
+import functools
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import passagelab as pl
 from passagelab import propagator
@@ -169,8 +174,9 @@ def _detector_rows(n_rows):
 def test_batched_kernel_matches_single_steps():
     particle, grid, pot, rows = _detector_rows(3)
     dt = 1e-6
-    batch = _Batch(rows, 10, 5)
-    _evolve_batch(_kernel(grid, particle, pot, dt), batch)
+    kernel = _kernel(grid, particle, pot, dt)
+    batch = _Batch(kernel, rows, 10, 5)
+    _evolve_batch(kernel, batch)
     for row, final in zip(rows, batch.amps):
         stepped = pl.WaveFunction(grid=grid, amplitudes=row, time=0.0)
         for _ in range(10):
@@ -182,11 +188,11 @@ def test_batch_row_bits_do_not_depend_on_batch():
     # a row's w1 and norm samples are the same bits alone or among other rows
     particle, grid, pot, rows = _detector_rows(5)
     kernel = _kernel(grid, particle, pot, 1e-6)
-    full = _Batch(rows, 40, 4)
+    full = _Batch(kernel, rows, 40, 4)
     _evolve_batch(kernel, full)
     assert np.all(full.w1[:, -1] > 0.0)
     for i, row in enumerate(rows):
-        alone = _Batch(row[None, :], 40, 4)
+        alone = _Batch(kernel, row[None, :], 40, 4)
         _evolve_batch(kernel, alone)
         assert np.array_equal(alone.w1[0], full.w1[i])
         assert np.array_equal(alone.nsq[0], full.nsq[i])
@@ -199,12 +205,13 @@ def test_kernel_rejects_non_finite_state_at_first_sample(bad, stride):
     # a non-finite point in one row spreads over it in the first FFT; the
     # kernel must stop at the first sample after step 0
     particle, grid, pot, rows = _detector_rows(3)
-    batch = _Batch(rows, 10, stride)
+    kernel = _kernel(grid, particle, pot, 1e-6)
+    batch = _Batch(kernel, rows, 10, stride)
     batch.amps[1, 0] = bad
     with np.errstate(invalid="ignore"), pytest.raises(
         pl.InstabilityError, match=f"at step {stride}$"
     ):
-        _evolve_batch(_kernel(grid, particle, pot, 1e-6), batch)
+        _evolve_batch(kernel, batch)
 
 
 def test_kernel_steps_on_the_span_of_decay_or_shift():
@@ -221,7 +228,7 @@ def test_kernel_steps_on_the_span_of_decay_or_shift():
     assert np.all(pot.decay_rate[100:140] == 0.0)
     assert kernel.support == on and on.start <= 100 and on.stop >= 140
 
-    batch = _Batch(rows, n_steps, stride)
+    batch = _Batch(kernel, rows, n_steps, stride)
     _evolve_batch(kernel, batch)
 
     vhalf = np.exp(-(pot.decay_rate + 1j * shift) * (dt * 0.25))
@@ -245,6 +252,104 @@ def test_kernel_steps_on_the_span_of_decay_or_shift():
     assert np.array_equal(batch.amps, amps)
     assert np.array_equal(batch.w1, np.array(w1).T)
     assert np.array_equal(batch.nsq, np.array(nsq).T)
+
+
+def _one_sample_at_a_time(kernel, rows, n_steps, stride):
+    """The kernel's steps with each sample reduced as soon as it is taken:
+    (final amps, w1, norm^2, held closed spans)."""
+    on, dx = kernel.support, kernel.dx
+    amps = np.array(rows, dtype=complex)
+    w1, nsq, held = [], [], []
+
+    def sample(closed_on):
+        held.append(closed_on.copy())
+        dens = np.abs(amps)
+        dens[:, on] = np.abs(closed_on)
+        np.square(dens, out=dens)
+        nsq.append(np.sum(dens, axis=-1) * dx)
+        w1.append(np.sum(dens[:, on] * kernel.decay, axis=-1) * dx)
+
+    sample(amps[:, on])
+    amps[:, on] *= kernel.vhalf
+    for s in range(1, n_steps + 1):
+        amps = np.fft.ifft(np.fft.fft(amps, axis=-1) * kernel.kin, axis=-1)
+        if s % stride == 0 or s == n_steps:
+            sample(amps[:, on] * kernel.vhalf)
+        if s < n_steps:
+            amps[:, on] *= kernel.vfull
+    amps[:, on] *= kernel.vhalf
+    return amps, np.array(w1).T, np.array(nsq).T, np.array(held)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@functools.cache
+def _four_rows():
+    particle, grid, pot, rows = _detector_rows(4)
+    return _kernel(grid, particle, pot, 1e-6), rows
+
+
+@given(
+    n_rows=st.integers(1, 4),
+    n_steps=st.integers(1, 300),
+    stride=st.integers(1, 12),
+    hold=st.booleans(),
+    norms=st.booleans(),
+    block=st.integers(1, 40),
+)
+@example(n_rows=2, n_steps=37, stride=1, hold=True, norms=True, block=1)
+@example(n_rows=3, n_steps=100, stride=7, hold=False, norms=False, block=4)
+def test_block_reductions_match_one_sample_at_a_time(
+    n_rows, n_steps, stride, hold, norms, block
+):
+    # blocks of one sample and a ragged last block give the same bytes as
+    # reducing each sample as it is taken
+    kernel, rows = _four_rows()
+    rows = rows[:n_rows]
+    width = rows.shape[1] if norms else len(kernel.decay)
+    with mock.patch.object(propagator, "_BLOCK_BYTES", block * n_rows * width * 8):
+        batch = _Batch(kernel, rows, n_steps, stride, hold, norms)
+    assert len(batch.dens) == min(block, len(batch.steps))
+    _evolve_batch(kernel, batch)
+    amps, w1, nsq, held = _one_sample_at_a_time(kernel, rows, n_steps, stride)
+    assert _same_bytes(batch.amps, amps)
+    assert _same_bytes(batch.w1, w1)
+    assert _same_bytes(batch.nsq, nsq if norms else nsq[:, -1:])
+    assert _same_bytes(batch.held, held if hold else held[..., :0])
+
+
+def test_kernel_names_the_first_non_finite_step_inside_a_block():
+    # one wavenumber grows 1e100-fold per step, so the state overflows a few
+    # steps in, before the end of the first block of samples
+    kernel, rows = _four_rows()
+    kin = kernel.kin.copy()
+    kin[5] *= 1e100
+    kernel = dataclasses.replace(kernel, kin=kin)
+    n_steps = 40
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, nsq, _ = _one_sample_at_a_time(kernel, rows, n_steps, 1)
+    first = int(np.argmin(np.all(np.isfinite(nsq), axis=0)))
+    assert 0 < first < n_steps
+    for norms in (True, False):
+        batch = _Batch(kernel, rows, n_steps, 1, norms=norms)
+        assert len(batch.dens) > first + 1
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            pl.InstabilityError, match=f"at step {first}$"
+        ):
+            _evolve_batch(kernel, batch)
+
+
+def test_block_buffer_within_budget_for_the_refined_pass():
+    # the sweep gate's refined pass at 3 mm/s: one row of 2048 points,
+    # sampled at each of 38 645 steps
+    particle, packet, grid = _ivb_setup(n=2048)
+    det = pl.DetectorSpec(profile=pl.RectangularProfile(0.0, 20e-6), decay_a=2.3895e3)
+    kernel = _kernel(grid, particle, det.potential_field(grid), 5e-7)
+    psi0 = pl.gaussian_free_state(packet, particle, 0.0, grid)
+    batch = _Batch(kernel, psi0.amplitudes[None, :], 38645, 1)
+    assert 1 < len(batch.dens) and batch.dens.nbytes <= propagator._BLOCK_BYTES
 
 
 def test_pool_created_once_under_concurrent_first_use(monkeypatch):
@@ -313,3 +418,41 @@ def test_negative_decay_rejected():
             decay_rate=np.full(grid.n_points, -1.0),
             real_shift=np.zeros(grid.n_points),
         )
+
+
+@pytest.mark.parametrize("field", ["decay_rate", "real_shift"])
+def test_potential_field_rejects_non_finite(field):
+    grid = pl.build_grid(-1e-6, 1e-6, 64)
+    arrays = {"decay_rate": np.zeros(64), "real_shift": np.zeros(64)}
+    arrays[field][5] = np.nan
+    with pytest.raises(pl.ConfigError, match="must be finite"):
+        pl.ComplexPotentialField(grid, **arrays)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-6])
+def test_bad_step_size_is_a_config_error(dt):
+    particle, packet, grid = _ivb_setup(n=512)
+    psi0 = pl.gaussian_free_state(packet, particle, 0.0, grid)
+    pot = _zero_potential(grid)
+    message = f"^dt must be positive and finite, got {dt}$"
+    with pytest.raises(pl.ConfigError, match=message):
+        pl.step(psi0, pot, particle, dt)
+    with pytest.raises(pl.ConfigError, match=message):
+        pl.evolve_conditional(psi0, pot, particle, t_final=1e-5, dt=dt)
+
+
+@pytest.mark.parametrize(
+    "t_final, message",
+    [
+        (np.nan, "t_final must be finite, got nan"),
+        (np.inf, "t_final must be finite, got inf"),
+        (0.0, "must exceed the state time"),
+        (1e-7, "shorter than one step"),
+        (1e305, "overflows"),
+    ],
+)
+def test_bad_final_time_is_a_config_error(t_final, message):
+    particle, packet, grid = _ivb_setup(n=512)
+    psi0 = pl.gaussian_free_state(packet, particle, 0.0, grid)
+    with pytest.raises(pl.ConfigError, match=message):
+        pl.evolve_conditional(psi0, _zero_potential(grid), particle, t_final, dt=1e-6)
