@@ -463,7 +463,10 @@ def main(argv: list[str] | None = None) -> int:
         "--threads",
         type=int,
         default=1,
-        help="worker threads for sweeps (default 1)",
+        help=(
+            "worker threads for the precision-sweep points (default 1); "
+            "stage 2 and the discrete oracle use every usable core"
+        ),
     )
     args = parser.parse_args(argv)
     if args.threads < 1:

@@ -177,10 +177,20 @@ def _tail_gate(
 
 
 def _free_packet(
-    packet: GaussianPacketSpec, particle: ParticleSpec, t: float | np.ndarray, x: np.ndarray
+    packet: GaussianPacketSpec,
+    particle: ParticleSpec,
+    t: float | np.ndarray,
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-form free packet at the points x: t is a scalar, or a column of
-    times (shape (B, 1)) giving one row per time."""
+    times (shape (B, 1)) giving one row per time.
+
+    The rows go into out (complex, the broadcast shape) and the real
+    intermediates into work (float, (2,) + that shape), both allocated here
+    when not given; the ufuncs and their order are the same either way.
+    """
     m, hb = particle.mass, particle.hbar
     s0 = packet.sigma_x
     k0 = m * packet.mean_velocity_v0 / hb
@@ -188,16 +198,21 @@ def _free_packet(
     # array by a real through its reciprocal, Python complex arithmetic does
     # not, and this form rounds a column of times exactly like a scalar time
     alpha = 1.0 + 1j * (hb * t / (2.0 * m * s0 * s0))
-    xc = x - packet.center_x0 - packet.mean_velocity_v0 * t
-    return (
-        (2.0 * np.pi * s0 * s0) ** -0.25
-        / np.sqrt(alpha)
-        * np.exp(
-            -xc * xc / (4.0 * s0 * s0 * alpha)
-            + 1j * k0 * (x - packet.center_x0)
-            - 1j * (hb * k0 * k0 * t / (2.0 * m))
-        )
-    )
+    shape = np.broadcast_shapes(np.shape(t), x.shape)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    if work is None:
+        work = np.empty((2,) + shape)
+    xc, arg = work
+    np.subtract(x - packet.center_x0, packet.mean_velocity_v0 * t, out=xc)
+    np.negative(xc, out=arg)
+    arg *= xc
+    np.divide(arg, 4.0 * s0 * s0 * alpha, out=out)
+    out += 1j * k0 * (x - packet.center_x0)
+    out -= 1j * (hb * k0 * k0 * t / (2.0 * m))
+    np.exp(out, out=out)
+    np.multiply((2.0 * np.pi * s0 * s0) ** -0.25 / np.sqrt(alpha), out, out=out)
+    return out
 
 
 def gaussian_free_state(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from numbers import Integral
 
 import numpy as np
 
@@ -56,10 +57,16 @@ class DiscreteBathSpec:
     omega_0: float
 
     def __post_init__(self) -> None:
-        if self.n_modes < 1:
-            raise ConfigError(f"n_modes must be >= 1, got {self.n_modes}")
-        if self.omega_max <= 0.0:
-            raise ConfigError(f"omega_max must be positive, got {self.omega_max}")
+        n = self.n_modes
+        if isinstance(n, bool) or not isinstance(n, Integral):
+            raise ConfigError(f"n_modes must be an integer, got {n!r}")
+        if n < 1:
+            raise ConfigError(f"n_modes must be >= 1, got {n}")
+        if not 0.0 < self.omega_max < np.inf:
+            raise ConfigError(f"omega_max must be positive and finite, got {self.omega_max}")
+        for name in ("coupling_g", "omega_0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
     def mode_frequencies(self) -> np.ndarray:
         n = np.arange(1, self.n_modes + 1, dtype=float)

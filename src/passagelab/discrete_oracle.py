@@ -7,20 +7,28 @@ The detected-state density after one observation window delta_t is
 
 with U free propagation and Theta the projector onto x >= 0. The quadrature
 accumulates in momentum space, a block of time nodes at a time: the closed-form
-packet on the grid points x >= 0 for every node of the block, one batched FFT,
+packet on the grid points x >= 0 for every node of the block, a batched FFT,
 the back-propagation phase, and one (modes x nodes) @ (nodes x points)
 product into the accumulator. One inverse FFT per mode follows at the end.
 The phase depends on |k| alone and the grid's k is exactly antisymmetric,
 k[n - j] == -k[j], so it is exponentiated on the first n // 2 + 1 columns and
 the other columns multiply by its mirror image: the same bits, half the
 complex exponentials.
-The blocks depend on the grid size alone and hold at most 64 nodes, so every
-product sums in the same order, and the output is bit-for-bit the same, for
-any BLAS thread count.
+
+Every node passes the tail gate first, in the calling thread. The blocks then
+run on the shared pool, one per usable core, each in a scratch set the calling
+thread allocated; the calling thread takes them back in block order and does
+the product and the sum. A row's packet, FFT and phase do not depend on the
+rows beside it, and the blocks depend on the grid size alone and hold at most
+64 nodes, so every product has the same shape and sums in the same order: the
+output is bit-for-bit the same for any number of cores and any BLAS thread
+count.
 """
 from __future__ import annotations
 
+from concurrent.futures import wait
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +43,7 @@ from .core import (
 )
 from .detector import DiscreteBathSpec
 from .exceptions import ConfigError, ZeroNormError
+from .propagator import _pool, _usable_cores
 
 __all__ = [
     "DiscreteResetConfig",
@@ -50,6 +59,9 @@ _MIN_SAMPLES_PER_PERIOD = 20
 # inner dimension above 128 in a different order on one thread than on
 # several, and the accumulated density would then depend on the thread count.
 _MAX_BLOCK_NODES = 64
+# a block's packet, FFT and phase run this many rows at a time, in cache;
+# the FFT loses its batching below about four rows
+_SUB_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -60,12 +72,13 @@ class DiscreteResetConfig:
     n_time_samples: int = 8192
 
     def __post_init__(self) -> None:
-        if self.delta_t <= 0.0:
-            raise ConfigError(f"delta_t must be positive, got {self.delta_t}")
-        if self.n_time_samples < 2:
-            raise ConfigError(
-                f"n_time_samples must be >= 2 (trapezoid nodes), got {self.n_time_samples}"
-            )
+        if not 0.0 < self.delta_t < np.inf:
+            raise ConfigError(f"delta_t must be positive and finite, got {self.delta_t}")
+        n = self.n_time_samples
+        if isinstance(n, bool) or not isinstance(n, Integral):
+            raise ConfigError(f"n_time_samples must be an integer, got {n!r}")
+        if n < 2:
+            raise ConfigError(f"n_time_samples must be >= 2 (trapezoid nodes), got {n}")
         # fastest phase in the quadrature integrand
         fastest = abs(self.bath.omega_max - self.bath.omega_0)
         periods = fastest * self.delta_t / (2.0 * np.pi)
@@ -86,6 +99,8 @@ class DensityProfile:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n_points,):
             raise ConfigError("density length does not match the grid")
+        if not np.all(np.isfinite(v)):
+            raise ConfigError("density values must be finite")
         if np.any(v < 0.0):
             raise ConfigError("density must be >= 0")
         v.setflags(write=False)
@@ -99,17 +114,51 @@ class ComparisonMetrics:
     exclusion: tuple[float, float]
 
 
-def _back_propagate(phi: np.ndarray, kin_phase: np.ndarray, t: np.ndarray) -> None:
+def _back_propagate(
+    phi: np.ndarray, kin_phase: np.ndarray, t: np.ndarray, phase: np.ndarray | None = None
+) -> None:
     """phi[i] *= exp(i kin_phase t[i]) in place, one exponential per |k|.
 
     kin_phase is even on the grid's k, kin_phase[n - j] == kin_phase[j], so
-    columns n // 2 + 1.. multiply by the mirror image of the first half.
+    columns n // 2 + 1.. multiply by the mirror image of the first half. The
+    exponentials go into phase, (len(t), n // 2 + 1), when given.
     """
     n = phi.shape[-1]
     half = n // 2 + 1
-    phase = np.exp(1j * kin_phase[:half] * t[:, None])
+    if phase is None:
+        phase = np.empty((len(t), half), dtype=complex)
+    np.multiply(1j * kin_phase[:half], t[:, None], out=phase)
+    np.exp(phase, out=phase)
     phi[:, :half] *= phase
     phi[:, half:] *= phase[:, n - half : 0 : -1]
+
+
+def _in_order(fill, blocks, sets):
+    """Yield fill(blocks[i], set) for each block, in block order.
+
+    With one set the calling thread runs every block. With more, the blocks
+    run on the shared pool, block i on sets[i % len(sets)]. A set goes back
+    to the pool, for the block len(sets) further on, when the caller asks for
+    the next block. No task waits on another, so callers may share the pool.
+    A failed block cancels the queued ones and waits for the running ones
+    before its error propagates.
+    """
+    n = len(sets)
+    if n == 1:
+        for t in blocks:
+            yield fill(t, sets[0])
+        return
+    pool = _pool()
+    futures = [pool.submit(fill, blocks[i], sets[i]) for i in range(n)]
+    try:
+        for i in range(len(blocks)):
+            yield futures[i % n].result()
+            if i + n < len(blocks):
+                futures[i % n] = pool.submit(fill, blocks[i + n], sets[i % n])
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def discrete_reset_density(
@@ -121,29 +170,56 @@ def discrete_reset_density(
     dw = bath.mode_frequencies() - bath.omega_0
     g_sq = bath.coupling_sq()
     k = grid.k
+    n = grid.n_points
+    nt = cfg.n_time_samples
+    ts = np.linspace(0.0, cfg.delta_t, nt)
+    # every node passes the tail gate before any block starts
+    for t_node in ts:
+        _tail_gate(cfg.packet, particle, t_node, grid)
     # Theta keeps the tail x[i0:] of the grid; the other columns stay zero
     i0 = int(np.searchsorted(grid.x, 0.0))
     x_pos = grid.x[i0:]
-    nt = cfg.n_time_samples
-    ts = np.linspace(0.0, cfg.delta_t, nt)
     weights = np.full(nt, cfg.delta_t / (nt - 1))
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    acc = np.zeros((bath.n_modes, grid.n_points), dtype=complex)
     kin_phase = hb * k * k / (2.0 * m)
-    block = min(_block_rows(grid.n_points), _MAX_BLOCK_NODES)
-    psi = np.zeros((min(block, nt), grid.n_points), dtype=complex)
-    for start in range(0, nt, block):
-        t = ts[start : start + block]
-        for t_node in t:
-            _tail_gate(cfg.packet, particle, t_node, grid)
-        rows = psi[: len(t)]
-        rows[:, i0:] = _free_packet(cfg.packet, particle, t[:, None], x_pos)
-        # back-propagate the projected slices to t=0 in momentum space
-        phi = np.fft.fft(rows, axis=-1)
-        _back_propagate(phi, kin_phase, t)
-        coeff = weights[start : start + block] * np.exp(1j * dw[:, None] * t)
-        acc += coeff @ phi
+    block = min(_block_rows(n), _MAX_BLOCK_NODES, nt)
+    sub = min(block, _SUB_ROWS)
+
+    def fill(t, scratch):
+        """The block's rows, back-propagated, a sub-block at a time."""
+        rows, work, phase = scratch
+        rows = rows[: len(t)]
+        for r0 in range(0, len(t), sub):
+            r, t_sub = rows[r0 : r0 + sub], t[r0 : r0 + sub]
+            b = len(t_sub)
+            # the set's last FFT wrote the columns x < 0 too
+            r[:, :i0] = 0.0
+            _free_packet(cfg.packet, particle, t_sub[:, None], x_pos, r[:, i0:], work[:, :b])
+            # back-propagate the projected slices to t=0 in momentum space
+            np.fft.fft(r, axis=-1, out=r)
+            _back_propagate(r, kin_phase, t_sub, phase[:b])
+        return rows
+
+    blocks = [ts[start : start + block] for start in range(0, nt, block)]
+    # the scratch sets are allocated here, not in the pool threads
+    sets = [
+        (
+            np.empty((block, n), dtype=complex),
+            np.empty((2, sub, len(x_pos))),
+            np.empty((sub, n // 2 + 1), dtype=complex),
+        )
+        for _ in range(max(1, min(_usable_cores(), len(blocks))))
+    ]
+    acc = np.zeros((bath.n_modes, n), dtype=complex)
+    prod = np.empty_like(acc)
+    for i, phi in enumerate(_in_order(fill, blocks, sets)):
+        start = i * block
+        coeff = weights[start : start + block] * np.exp(1j * dw[:, None] * blocks[i])
+        np.matmul(coeff, phi, out=prod)
+        acc += prod
+    # free the scratch before the inverse FFT and the moduli allocate theirs
+    del sets, prod, phi
     acc *= np.exp(-1j * kin_phase * cfg.delta_t)[None, :]
     s_l = np.fft.ifft(acc, axis=-1)
     dens = np.tensordot(g_sq, np.abs(s_l) ** 2, axes=(0, 0)) / cfg.delta_t

@@ -417,8 +417,14 @@ def kijowski_distribution(
     Pi_K(t) = hbar/(2 pi m) |int_0^inf dk sqrt(k) phi(k) e^{i k x - i hbar k^2 t/2m}|^2,
     evaluated by quadrature over the packet's analytic momentum amplitude.
     """
-    _check_forward_packet(packet, particle, "positive-k form invalid")
+    if isinstance(n_k, bool) or not isinstance(n_k, Integral) or n_k < 2:
+        raise ConfigError(f"n_k must be an integer >= 2, got {n_k!r}")
     t = np.asarray(t_grid, dtype=float).ravel()
+    if not np.isfinite(x):
+        raise ConfigError(f"x must be finite, got {x}")
+    if not np.all(np.isfinite(t)):
+        raise ConfigError("t_grid must be finite")
+    _check_forward_packet(packet, particle, "positive-k form invalid")
     m, hb = particle.mass, particle.hbar
     k0 = m * packet.mean_velocity_v0 / hb
     sk = 1.0 / (2.0 * packet.sigma_x)

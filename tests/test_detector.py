@@ -54,6 +54,28 @@ def test_continuum_rates_require_omega_max_above_omega_0():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_modes", 2.5, "n_modes must be an integer, got 2.5"),
+        ("n_modes", True, "n_modes must be an integer, got True"),
+        ("n_modes", 0, "n_modes must be >= 1, got 0"),
+        ("omega_max", float("nan"), "omega_max must be positive and finite, got nan"),
+        ("omega_max", float("inf"), "omega_max must be positive and finite, got inf"),
+        ("omega_max", -1.0, "omega_max must be positive and finite, got -1.0"),
+        ("coupling_g", float("nan"), "coupling_g must be finite, got nan"),
+        ("omega_0", float("nan"), "omega_0 must be finite, got nan"),
+        ("omega_0", float("-inf"), "omega_0 must be finite, got -inf"),
+    ],
+)
+def test_bath_rejects_bad_fields(field, value, message):
+    fields = dict(n_modes=15, omega_max=OMEGA_M, coupling_g=G, omega_0=OMEGA_0)
+    fields[field] = value
+    with pytest.raises(pl.ConfigError) as err:
+        pl.DiscreteBathSpec(**fields)
+    assert str(err.value) == message
+
+
 def test_bath_mode_layout():
     bath = _bath(n_modes=15)
     freqs = bath.mode_frequencies()

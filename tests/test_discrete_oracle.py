@@ -3,6 +3,9 @@ and against the continuum profile."""
 import os
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 
 import passagelab as pl
 from passagelab import discrete_oracle
-from passagelab.core import _block_rows
+from passagelab.core import _block_rows, _free_packet, _tail_gate
 from passagelab.discrete_oracle import _MAX_BLOCK_NODES, _back_propagate
 
 OMEGA_0 = 2.38e12
@@ -129,6 +132,24 @@ def test_undersampled_time_grid_rejected():
         )
 
 
+@pytest.mark.parametrize("delta_t", [float("nan"), float("inf"), 0.0, -DELTA_T])
+def test_bad_window_rejected(delta_t):
+    _, packet, _ = _setup()
+    with pytest.raises(pl.ConfigError) as err:
+        pl.DiscreteResetConfig(bath=_bath(15), packet=packet, delta_t=delta_t)
+    assert str(err.value) == f"delta_t must be positive and finite, got {delta_t}"
+
+
+@pytest.mark.parametrize("n_time_samples", [2.5, 8192.0, True, "8192"])
+def test_non_integer_time_samples_rejected(n_time_samples):
+    _, packet, _ = _setup()
+    with pytest.raises(pl.ConfigError) as err:
+        pl.DiscreteResetConfig(
+            bath=_bath(15), packet=packet, delta_t=DELTA_T, n_time_samples=n_time_samples
+        )
+    assert str(err.value) == f"n_time_samples must be an integer, got {n_time_samples!r}"
+
+
 @pytest.mark.parametrize("n_time_samples", [1, 0, -3])
 def test_fewer_than_two_time_samples_rejected(n_time_samples):
     _, packet, _ = _setup()
@@ -204,7 +225,7 @@ def test_density_bytes_match_full_width_phase(monkeypatch):
     )
     mirrored = pl.discrete_reset_density(cfg, grid, particle).values
 
-    def full_width(phi, kin_phase, t):
+    def full_width(phi, kin_phase, t, phase=None):
         phi *= np.exp(1j * kin_phase * t[:, None])
 
     monkeypatch.setattr(discrete_oracle, "_back_propagate", full_width)
@@ -226,9 +247,184 @@ def test_packet_leaving_grid_late_in_window_raises():
         pl.discrete_reset_density(cfg, grid, particle)
 
 
+def _whole_block_density(cfg, grid, particle):
+    """The quadrature a whole block at a time in the calling thread: the
+    packet at every node of the block, one FFT, the phase, one product."""
+    bath = cfg.bath
+    hb, m = particle.hbar, particle.mass
+    dw = bath.mode_frequencies() - bath.omega_0
+    i0 = int(np.searchsorted(grid.x, 0.0))
+    nt = cfg.n_time_samples
+    ts = np.linspace(0.0, cfg.delta_t, nt)
+    weights = np.full(nt, cfg.delta_t / (nt - 1))
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    acc = np.zeros((bath.n_modes, grid.n_points), dtype=complex)
+    kin_phase = hb * grid.k * grid.k / (2.0 * m)
+    block = min(_block_rows(grid.n_points), _MAX_BLOCK_NODES)
+    for start in range(0, nt, block):
+        t = ts[start : start + block]
+        rows = np.zeros((len(t), grid.n_points), dtype=complex)
+        rows[:, i0:] = _free_packet(cfg.packet, particle, t[:, None], grid.x[i0:])
+        phi = np.fft.fft(rows, axis=-1)
+        phi *= np.exp(1j * kin_phase * t[:, None])
+        acc += weights[start : start + block] * np.exp(1j * dw[:, None] * t) @ phi
+    acc *= np.exp(-1j * kin_phase * cfg.delta_t)[None, :]
+    s_l = np.fft.ifft(acc, axis=-1)
+    return np.tensordot(bath.coupling_sq(), np.abs(s_l) ** 2, axes=(0, 0)) / cfg.delta_t
+
+
+# nodes per block on the 512-point grid of _cores_setup
+_BLOCK_512 = min(_block_rows(512), _MAX_BLOCK_NODES)
+
+
+def _cores_setup(n_modes, n_time_samples):
+    particle = pl.cesium()
+    packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=50e-9, mean_velocity_v0=1.79)
+    grid = pl.build_grid(-0.45e-6, 0.75e-6, 512)
+    cfg = pl.DiscreteResetConfig(
+        bath=_bath(n_modes), packet=packet, delta_t=DELTA_T / 8, n_time_samples=n_time_samples
+    )
+    return cfg, grid, particle
+
+
+@pytest.mark.parametrize("n_modes", [15, 60])
+def test_density_bytes_same_for_any_core_count(n_modes, monkeypatch):
+    # four whole blocks of 64 nodes and a last one of 21, whose last
+    # sub-block is partial too
+    cfg, grid, particle = _cores_setup(n_modes, 4 * _BLOCK_512 + 21)
+    ref = _whole_block_density(cfg, grid, particle).tobytes()
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(discrete_oracle, "_usable_cores", lambda: cores)
+        assert pl.discrete_reset_density(cfg, grid, particle).values.tobytes() == ref
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_late_grid_error_raised_before_any_block(cores, monkeypatch):
+    # the tail gate runs over every node in the calling thread first: the
+    # error is the first failing node's, as in one thread, and no block starts
+    particle = pl.cesium()
+    packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=50e-9, mean_velocity_v0=2e3)
+    grid = pl.build_grid(-0.6e-6, 7 * packet.sigma_x, 1024)
+    cfg = pl.DiscreteResetConfig(
+        bath=_bath(15), packet=packet, delta_t=DELTA_T, n_time_samples=8192
+    )
+    first_failure = None
+    for t in np.linspace(0.0, DELTA_T, 8192):
+        try:
+            _tail_gate(packet, particle, t, grid)
+        except pl.GridTooNarrowError as exc:
+            first_failure = str(exc)
+            break
+    assert first_failure is not None
+    calls = []
+    monkeypatch.setattr(discrete_oracle, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(discrete_oracle, "_free_packet", lambda *a: calls.append(a))
+    with pytest.raises(pl.GridTooNarrowError) as err:
+        pl.discrete_reset_density(cfg, grid, particle)
+    assert str(err.value) == first_failure
+    assert calls == []
+
+
+class _BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_failed_block_propagates_and_the_pool_recovers(cores, monkeypatch):
+    # block 2 of 4 raises while the others run slowly: the error reaches the
+    # caller after every started block has stopped, and the next call on
+    # the same pool gives the right bytes
+    block = _BLOCK_512
+    cfg, grid, particle = _cores_setup(15, 4 * block)
+    ref = _whole_block_density(cfg, grid, particle).tobytes()
+    ts = np.linspace(0.0, cfg.delta_t, cfg.n_time_samples)
+    free_packet = discrete_oracle._free_packet
+    calls = []
+
+    def failing(packet, particle, t, *args):
+        calls.append(time.perf_counter())
+        if block <= np.searchsorted(ts, t[0, 0]) < 2 * block:
+            raise _BlockFailed("block 2 of 4")
+        time.sleep(0.01)
+        return free_packet(packet, particle, t, *args)
+
+    def call_in_thread():
+        """(density or error, when it returned); a deadlocked call fails the
+        test instead of hanging it."""
+        outcome = []
+
+        def run():
+            try:
+                result = pl.discrete_reset_density(cfg, grid, particle)
+            except Exception as exc:  # handed to the test thread
+                result = exc
+            outcome.append((result, time.perf_counter()))
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60.0)
+        assert outcome, "the density call did not return"
+        return outcome[0]
+
+    monkeypatch.setattr(discrete_oracle, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(discrete_oracle, "_free_packet", failing)
+    err, returned = call_in_thread()
+    assert isinstance(err, _BlockFailed)
+    time.sleep(0.1)
+    assert max(calls) < returned
+    monkeypatch.setattr(discrete_oracle, "_free_packet", free_packet)
+    assert call_in_thread()[0].values.tobytes() == ref
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # two callers, each with more scratch sets than the pool has workers,
+    # with thread switches forced often: both finish, with the right bytes
+    cfg, grid, particle = _cores_setup(15, 4 * _BLOCK_512 + 21)
+    ref = _whole_block_density(cfg, grid, particle).tobytes()
+    monkeypatch.setattr(discrete_oracle, "_usable_cores", lambda: 3)
+    out = []
+
+    def run():
+        out.append(pl.discrete_reset_density(cfg, grid, particle).values.tobytes())
+
+    callers = [threading.Thread(target=run, daemon=True) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert out == [ref, ref]
+
+
+def test_traced_peak_of_the_cli_density(monkeypatch):
+    # the oracle-cli bath at 60 modes: 8192 nodes on 4096 points, two scratch
+    # sets of one 61-node block each, freed before the inverse FFT
+    monkeypatch.setattr(discrete_oracle, "_usable_cores", lambda: 2)
+    particle, packet, grid = _setup(4096)
+    cfg = pl.DiscreteResetConfig(
+        bath=_bath(60), packet=packet, delta_t=DELTA_T, n_time_samples=8192
+    )
+    tracemalloc.start()
+    try:
+        pl.discrete_reset_density(cfg, grid, particle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19e6
+
+
 _DENSITY_BYTES = """
 import sys
 import passagelab as pl
+from passagelab import discrete_oracle
+if sys.argv[1] == "one-core":
+    discrete_oracle._usable_cores = lambda: 1
 packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=50e-9, mean_velocity_v0=1.79)
 bath = pl.DiscreteBathSpec(n_modes=60, omega_max={om}, coupling_g={g}, omega_0={o0})
 cfg = pl.DiscreteResetConfig(bath=bath, packet=packet, delta_t={dt}, n_time_samples=600)
@@ -238,18 +434,21 @@ sys.stdout.buffer.write(pl.discrete_reset_density(cfg, grid, pl.cesium()).values
 
 
 def test_density_bytes_independent_of_blas_threads():
+    # on one and two BLAS threads, with the blocks in the calling thread and
+    # on the pool at its default size
     src = str(Path(pl.__file__).resolve().parents[1])
     out = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-c", _DENSITY_BYTES],
-            env=env, capture_output=True, check=True, timeout=120,
-        )
-        out.append(run.stdout)
+        for cores in ("one-core", "default"):
+            run = subprocess.run(
+                [sys.executable, "-c", _DENSITY_BYTES, cores],
+                env=env, capture_output=True, check=True, timeout=120,
+            )
+            out.append(run.stdout)
     assert len(out[0]) == 8 * 1024
-    assert out[0] == out[1]
+    assert all(o == out[0] for o in out[1:])
 
 
 def test_continuum_reset_density_shape():
@@ -282,6 +481,15 @@ def test_compare_densities_zero_profile_rejected():
     zero = pl.DensityProfile(grid=grid, values=np.zeros(grid.n_points), normalization=0.0)
     with pytest.raises(pl.ZeroNormError):
         pl.compare_densities(cont, zero)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_density_profile_rejects_non_finite_values(bad):
+    grid = pl.build_grid(-1e-6, 1e-6, 64)
+    values = np.zeros(64)
+    values[3] = bad
+    with pytest.raises(pl.ConfigError, match="density values must be finite"):
+        discrete_oracle.DensityProfile(grid=grid, values=values, normalization=1.0)
 
 
 def test_density_profile_rejects_negative_values():

@@ -306,6 +306,25 @@ def test_kijowski_against_direct_quadrature():
     assert np.allclose(module, brute, rtol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_k": 1}, "n_k must be an integer >= 2, got 1"),
+        ({"n_k": 0}, "n_k must be an integer >= 2, got 0"),
+        ({"n_k": 400.5}, "n_k must be an integer >= 2, got 400.5"),
+        ({"t_grid": [1e-4, float("nan")]}, "t_grid must be finite"),
+        ({"t_grid": [float("inf")]}, "t_grid must be finite"),
+        ({"x": float("nan")}, "x must be finite, got nan"),
+    ],
+)
+def test_kijowski_rejects_bad_arguments(kwargs, message):
+    packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=2e-6, mean_velocity_v0=0.05)
+    args = {"x": 30e-6, "t_grid": np.linspace(1e-4, 1e-3, 5), "n_k": 401, **kwargs}
+    with pytest.raises(pl.ConfigError) as err:
+        pl.kijowski_distribution(packet, pl.ParticleSpec(mass=1e-26), **args)
+    assert str(err.value) == message
+
+
 def test_kijowski_normalization_and_peak():
     particle = pl.ParticleSpec(mass=1e-26)
     packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=2e-6, mean_velocity_v0=0.05)
