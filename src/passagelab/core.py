@@ -176,6 +176,16 @@ def _tail_gate(
         )
 
 
+def _packet_x_terms(
+    packet: GaussianPacketSpec, particle: ParticleSpec, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The time-independent parts of _free_packet at the points x:
+    x - x0 and 1j k0 (x - x0)."""
+    k0 = particle.mass * packet.mean_velocity_v0 / particle.hbar
+    rel = x - packet.center_x0
+    return rel, 1j * k0 * rel
+
+
 def _free_packet(
     packet: GaussianPacketSpec,
     particle: ParticleSpec,
@@ -183,13 +193,16 @@ def _free_packet(
     x: np.ndarray,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
+    x_terms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Closed-form free packet at the points x: t is a scalar, or a column of
     times (shape (B, 1)) giving one row per time.
 
     The rows go into out (complex, the broadcast shape) and the real
     intermediates into work (float, (2,) + that shape), both allocated here
-    when not given; the ufuncs and their order are the same either way.
+    when not given, and x_terms is _packet_x_terms(packet, particle, x),
+    computed here when not given; the ufuncs and their order are the same
+    either way.
     """
     m, hb = particle.mass, particle.hbar
     s0 = packet.sigma_x
@@ -203,12 +216,18 @@ def _free_packet(
         out = np.empty(shape, dtype=complex)
     if work is None:
         work = np.empty((2,) + shape)
+    if x_terms is None:
+        x_terms = _packet_x_terms(packet, particle, x)
+    rel, kx = x_terms
     xc, arg = work
-    np.subtract(x - packet.center_x0, packet.mean_velocity_v0 * t, out=xc)
+    np.subtract(rel, packet.mean_velocity_v0 * t, out=xc)
     np.negative(xc, out=arg)
     arg *= xc
-    np.divide(arg, 4.0 * s0 * s0 * alpha, out=out)
-    out += 1j * k0 * (x - packet.center_x0)
+    # cast into out first: dividing the real arg directly would make numpy
+    # allocate a cast buffer on every call
+    np.copyto(out, arg)
+    out /= 4.0 * s0 * s0 * alpha
+    out += kx
     out -= 1j * (hb * k0 * k0 * t / (2.0 * m))
     np.exp(out, out=out)
     np.multiply((2.0 * np.pi * s0 * s0) ** -0.25 / np.sqrt(alpha), out, out=out)

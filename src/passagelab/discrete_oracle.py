@@ -38,6 +38,7 @@ from .core import (
     SpatialGrid,
     _block_rows,
     _free_packet,
+    _packet_x_terms,
     _tail_gate,
     gaussian_free_state,
 )
@@ -115,19 +116,20 @@ class ComparisonMetrics:
 
 
 def _back_propagate(
-    phi: np.ndarray, kin_phase: np.ndarray, t: np.ndarray, phase: np.ndarray | None = None
+    phi: np.ndarray, ikin: np.ndarray, t: np.ndarray, phase: np.ndarray | None = None
 ) -> None:
     """phi[i] *= exp(i kin_phase t[i]) in place, one exponential per |k|.
 
-    kin_phase is even on the grid's k, kin_phase[n - j] == kin_phase[j], so
-    columns n // 2 + 1.. multiply by the mirror image of the first half. The
-    exponentials go into phase, (len(t), n // 2 + 1), when given.
+    ikin is 1j * kin_phase[:n // 2 + 1]: kin_phase is even on the grid's k,
+    kin_phase[n - j] == kin_phase[j], so columns n // 2 + 1.. multiply by the
+    mirror image of the first half. The exponentials go into phase,
+    (len(t), n // 2 + 1), when given.
     """
     n = phi.shape[-1]
     half = n // 2 + 1
     if phase is None:
         phase = np.empty((len(t), half), dtype=complex)
-    np.multiply(1j * kin_phase[:half], t[:, None], out=phase)
+    np.multiply(ikin, t[:, None], out=phase)
     np.exp(phase, out=phase)
     phi[:, :half] *= phase
     phi[:, half:] *= phase[:, n - half : 0 : -1]
@@ -183,6 +185,9 @@ def discrete_reset_density(
     weights[0] *= 0.5
     weights[-1] *= 0.5
     kin_phase = hb * k * k / (2.0 * m)
+    # the blocks' time-independent factors, computed once here
+    ikin = 1j * kin_phase[: n // 2 + 1]
+    x_terms = _packet_x_terms(cfg.packet, particle, x_pos)
     block = min(_block_rows(n), _MAX_BLOCK_NODES, nt)
     sub = min(block, _SUB_ROWS)
 
@@ -195,10 +200,12 @@ def discrete_reset_density(
             b = len(t_sub)
             # the set's last FFT wrote the columns x < 0 too
             r[:, :i0] = 0.0
-            _free_packet(cfg.packet, particle, t_sub[:, None], x_pos, r[:, i0:], work[:, :b])
+            _free_packet(
+                cfg.packet, particle, t_sub[:, None], x_pos, r[:, i0:], work[:, :b], x_terms
+            )
             # back-propagate the projected slices to t=0 in momentum space
             np.fft.fft(r, axis=-1, out=r)
-            _back_propagate(r, kin_phase, t_sub, phase[:b])
+            _back_propagate(r, ikin, t_sub, phase[:b])
         return rows
 
     blocks = [ts[start : start + block] for start in range(0, nt, block)]

@@ -39,10 +39,17 @@ __all__ = [
     "convergence_probe",
 ]
 
-# largest A dt2 a sweep point's stage-2 split step may take
-_STAGE2_ADT = 0.05
+# G samples per delta_tau_opt at a sweep point: its stage-2 step is
+# delta_tau_opt / 56, so A dt2 = sqrt(5) / 56 = 0.040 at every point
+_SAMPLES_PER_WIDTH = 56
 # largest arrival width drift the convergence probe lets through
 _WIDTH_DRIFT_TOL = 1e-3
+
+
+def _positive_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,7 @@ def width_estimate(
     v0: float,
 ) -> WidthBudget:
     """Three-term passage-width budget for given reset width and decay rate."""
-    if min(delta_x_reset, a, d, v0) <= 0.0:
-        raise ConfigError("width_estimate needs positive inputs")
+    _positive_finite(delta_x_reset=delta_x_reset, a=a, d=d, v0=v0)
     m, hb = particle.mass, particle.hbar
     return WidthBudget(
         delay_term=2.0 / a,
@@ -96,16 +102,14 @@ def optimal_plan(
     a = v0 / (2 delta_x) and the width field holds the budget total at that
     operating point instead of the unconstrained closed form.
     """
-    if d <= 0.0 or v0 <= 0.0:
-        raise ConfigError("optimal_plan needs positive d and v0")
+    _positive_finite(d=d, v0=v0)
     m, hb = particle.mass, particle.hbar
     energy = 0.5 * m * v0 * v0
     if delta_x is None:
         dx = np.sqrt(hb * d / (2.0 * m * v0))
         dtau = np.sqrt(5.0 * hb * d * np.sqrt(m / 2.0)) * energy**-0.75
     else:
-        if delta_x <= 0.0:
-            raise ConfigError("optimal_plan needs positive delta_x")
+        _positive_finite(delta_x=delta_x)
         dx = delta_x
         dtau = width_estimate(dx, v0 / (2.0 * dx), d, particle, v0).total
     a_opt = v0 / (2.0 * dx)
@@ -127,15 +131,16 @@ def sweep_point_config(
     """Per-velocity experiment with optimal packet width, rate, and geometry.
 
     Detector length is 4 L(v0) so undetected transmission stays small at every
-    v0; the grid and step size scale with the packet's wavenumber.
+    v0; the grid scales with the packet's wavenumber.
 
-    G is sampled every 10 dt, and stage 2 takes the fewest split steps per
-    sample that keep A dt2 <= 0.05: m = max(1, ceil(10 dt A / 0.05)) steps of
-    dt2 = 10 dt / m, with tau_stride = m. Strang splitting is exact in the
-    kinetic factor and second order in the potential, and stage 2's only
-    potential is detector 2's A chi, so more steps per sample than that buy
-    accuracy no moment reads. At d = 100 um every point of 3-30 mm/s takes
-    one step per sample (A dt2 <= 0.040); smaller d raises A and with it m.
+    Both steps come from the plan's own width: stage 2 steps dt2 =
+    delta_tau_opt / 56 and samples G at every step (tau_stride = 1), and the
+    arrival stage steps dt = dt2 / 10. Since a_opt delta_tau_opt = sqrt(5) for
+    every v0, d and particle, A dt2 = sqrt(5) / 56 = 0.040 at every point.
+    Strang splitting is exact in the kinetic factor and second order in the
+    potential, and stage 2's only potential is detector 2's A chi; halving
+    both steps moves std(G) at the paper's seven points by at most 3.3e-4
+    relative. convergence_probe checks the arrival step at dt / 2.
     """
     plan = optimal_plan(d, particle, v0)
     packet = GaussianPacketSpec(
@@ -161,20 +166,18 @@ def sweep_point_config(
     det2 = DetectorSpec(
         profile=RectangularProfile(d, d + det_len), decay_a=plan.a_opt
     )
-    dt = min(1e-6, 1e-6 * 7.17e-3 / v0)
-    spacing = 10.0 * dt
-    m = max(1, int(np.ceil(spacing * plan.a_opt / _STAGE2_ADT)))
+    dt2 = plan.delta_tau_opt / _SAMPLES_PER_WIDTH
     return ExperimentConfig(
         particle=particle,
         packet=packet,
         detector1=det1,
         detector2=det2,
         grid=grid,
-        dt=dt,
-        dt2=spacing / m,
+        dt=dt2 / 10.0,
+        dt2=dt2,
         n_entry=n_entry,
         tau_max=d / v0 + 6.0 * plan.delta_tau_opt,
-        tau_stride=m,
+        tau_stride=1,
     )
 
 
@@ -242,10 +245,11 @@ def scaling_sweep(
     ensemble or None) pairs; the per-point work touches no shared state.
     """
     v0s = np.sort(np.asarray(v0_values, dtype=float))
+    _positive_finite(d=d)
+    for v0 in v0s:
+        _positive_finite(v0_values=v0)
     if len(v0s) < 2 or v0s[0] == v0s[-1]:
         raise ConfigError("scaling sweep needs at least two distinct velocities")
-    if np.any(v0s <= 0.0):
-        raise ConfigError("velocities must be positive")
     configs = [sweep_point_config(v0, d, particle, n_entry) for v0 in v0s]
     ensembles = [None] * len(configs)
     if gate_first:

@@ -100,6 +100,35 @@ def test_optimal_plan_rejects_nonpositive(cesium):
         pl.optimal_plan(CES_D, cesium, CES_V0, delta_x=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["delta_x_reset", "a", "d", "v0"])
+def test_width_estimate_rejects_non_finite(cesium, key, bad):
+    # NaN used to pass the positivity check and come back as NaN terms
+    args = {"delta_x_reset": 2e-6, "a": 1e3, "d": CES_D, "v0": CES_V0, key: bad}
+    with pytest.raises(ConfigError, match=f"^{key} must be positive and finite, got {bad}$"):
+        pl.width_estimate(particle=cesium, **args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["d", "v0", "delta_x"])
+def test_optimal_plan_rejects_non_finite(cesium, key, bad):
+    # NaN gave an all-NaN plan and an infinite v0 an infinite a_opt
+    args = {"d": CES_D, "v0": CES_V0, key: bad}
+    with pytest.raises(ConfigError, match=f"^{key} must be positive and finite, got {bad}$"):
+        pl.optimal_plan(particle=cesium, **args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scaling_sweep_rejects_non_finite(cesium, bad):
+    # these failed late, in the packet of a NaN or zero width
+    message = f"^v0_values must be positive and finite, got {bad}$"
+    for v0s in ([bad, 3e-3], [3e-3, bad]):
+        with pytest.raises(ConfigError, match=message):
+            pl.scaling_sweep(np.array(v0s), CES_D, cesium)
+    with pytest.raises(ConfigError, match=f"^d must be positive and finite, got {bad}$"):
+        pl.scaling_sweep(np.array([3e-3, 5e-3]), bad, cesium)
+
+
 def test_reset_terms_equal_at_minimizer(cesium):
     plan = pl.optimal_plan(CES_D, cesium, CES_V0)
     b = pl.width_estimate(plan.delta_x_opt, plan.a_opt, CES_D, cesium, CES_V0)
@@ -168,25 +197,29 @@ def test_sweep_point_config_geometry(cesium):
     assert cfg.grid.x_max > cfg.detector2.profile.b
     assert cfg.grid.n_points >= 1024
     assert cfg.tau_max > CES_D / CES_V0
-    assert cfg.dt <= 1e-6
+    assert cfg.dt2 == plan.delta_tau_opt / 56.0
+    assert cfg.dt == cfg.dt2 / 10.0
 
 
 def test_sweep_stage2_step_count_per_sample(cesium):
-    # G keeps its 10 dt spacing; stage 2 takes the fewest steps per sample
-    # that keep A dt2 <= 0.05: one at the paper's d, four at d = 5 um, 30 mm/s
-    cases = [(v0, CES_D, 1) for v0 in np.geomspace(3e-3, 30e-3, 7)] + [(30e-3, 5e-6, 4)]
-    for v0, d, m in cases:
+    # both steps scale with the point's own width: G every dt2 =
+    # delta_tau_opt / 56, the arrival stage at dt2 / 10, and A dt2 =
+    # sqrt(5) / 56 = 0.040 at every v0 and d
+    cases = [(v0, CES_D) for v0 in np.geomspace(3e-3, 30e-3, 7)] + [(30e-3, 5e-6)]
+    for v0, d in cases:
         cfg = pl.sweep_point_config(v0, d, cesium)
-        assert cfg.tau_stride == m
-        assert cfg.tau_stride * cfg.dt2 == 10.0 * cfg.dt
+        plan = pl.optimal_plan(d, cesium, v0)
+        assert cfg.dt2 == plan.delta_tau_opt / 56.0
+        assert cfg.dt == cfg.dt2 / 10.0
+        assert cfg.tau_stride == 1
         assert cfg.detector2.decay_a * cfg.dt2 <= 0.05
 
 
 @pytest.mark.parametrize("v0", [3e-3, 30e-3])
 def test_sweep_stage2_step_matches_dt2_equal_dt(cesium, v0):
     # measured against dt2 = dt with stride 10 (one BLAS thread): std within
-    # 3.9e-5 and 2.9e-4 relative, mean 7.9e-7 and 1.7e-5, total 2.2e-5 and
-    # 5.6e-5 absolute at 3 and 30 mm/s; the bounds leave about 2x margin
+    # 1.3e-4 and 1.3e-4 relative, mean 3.2e-7 and 1.0e-5, total 6.2e-5 and
+    # 5.7e-5 absolute at 3 and 30 mm/s; the bounds leave at least 2x margin
     cfg = pl.sweep_point_config(v0, 5e-6, cesium, n_entry=64)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pl.RegimeWarning)
@@ -196,6 +229,20 @@ def test_sweep_stage2_step_matches_dt2_equal_dt(cesium, v0):
     assert got.std_tau == pytest.approx(want.std_tau, rel=6e-4)
     assert got.mean_tau == pytest.approx(want.mean_tau, rel=4e-5)
     assert got.total_probability == pytest.approx(want.total_probability, abs=1.2e-4)
+
+
+def test_sweep_point_steps_agree_with_half_steps(cesium):
+    # both stages again at half dt and half dt2, G on the same sample times:
+    # measured (one BLAS thread) std 1.9e-5 and mean 3.6e-5 relative, total
+    # 4.9e-5 absolute; the bounds are about twice that
+    cfg = pl.sweep_point_config(3e-3, 5e-6, cesium, n_entry=64)
+    half = replace(cfg, dt=cfg.dt / 2.0, dt2=cfg.dt2 / 2.0, tau_stride=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.RegimeWarning)
+        got, want = (pl.passage_distribution(c) for c in (cfg, half))
+    assert got.std_tau == pytest.approx(want.std_tau, rel=4e-5)
+    assert got.mean_tau == pytest.approx(want.mean_tau, rel=7e-5)
+    assert got.total_probability == pytest.approx(want.total_probability, abs=1e-4)
 
 
 @pytest.mark.parametrize("v0", [2.98e-3, 3.0e-3, np.geomspace(3e-3, 30e-3, 7)[2]])
