@@ -30,6 +30,8 @@ from .core import (
     GaussianPacketSpec,
     ParticleSpec,
     WaveFunction,
+    _check_count,
+    _check_positive,
     build_grid,
     gaussian_free_state,
     momentum_amplitudes,
@@ -266,11 +268,14 @@ def build_bath(conf: dict) -> tuple[DiscreteBathSpec, dict]:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
-    with path.open("w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(f"{col[i]:.12e}" for col in columns) + "\n")
+    np.savetxt(
+        path,
+        np.column_stack(columns),
+        fmt="%.12e",
+        delimiter=",",
+        header=",".join(header),
+        comments="",
+    )
 
 
 def _summary(out_dir: Path, name: str, conf: dict, payload: dict, warned: list[str]) -> Path:
@@ -392,8 +397,7 @@ def _cmd_discrete_compare(conf: dict, out: Path, args: argparse.Namespace) -> di
 
 def _cmd_kijowski(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     kj = conf["kijowski"]
-    if kj["n_times"] < 2:
-        raise ConfigError(f"kijowski.n_times must be >= 2, got {kj['n_times']}")
+    _check_count("kijowski.n_times", kj["n_times"], 2)
     if not kj["t_max"] > kj["t_min"]:
         raise ConfigError(f"kijowski.t_max must exceed t_min, got {kj['t_max']} <= {kj['t_min']}")
     t = np.linspace(kj["t_min"], kj["t_max"], kj["n_times"])
@@ -407,11 +411,8 @@ def _cmd_kijowski(conf: dict, out: Path, args: argparse.Namespace) -> dict:
 
 def _cmd_precision_sweep(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     sw = conf["sweep"]
-    if sw["n_points"] < 2:
-        raise ConfigError(f"sweep.n_points must be >= 2, got {sw['n_points']}")
-    for key in ("v0_min", "v0_max"):
-        if sw[key] <= 0.0:
-            raise ConfigError(f"sweep.{key} must be positive, got {sw[key]}")
+    _check_count("sweep.n_points", sw["n_points"], 2)
+    _check_positive(**{f"sweep.{key}": sw[key] for key in ("v0_min", "v0_max")})
     particle = _particle(conf)
     v0s = np.geomspace(sw["v0_min"], sw["v0_max"], sw["n_points"])
     # one worker runs the points in order; each point's bits are thread-free

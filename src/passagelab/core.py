@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import erfc, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -46,6 +47,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_positive(**values: float) -> None:
+    """ConfigError naming the first value that is not positive and finite."""
+    for name, value in values.items():
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_count(name: str, value: int, minimum: int) -> None:
+    """ConfigError unless value is an integer (not a bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
 def _block_rows(n_cols: int) -> int:
     """Rows of n_cols complex values that fit one _BLOCK_BYTES block."""
     return max(1, _BLOCK_BYTES // (16 * n_cols))
@@ -59,10 +75,7 @@ class ParticleSpec:
     hbar: float = HBAR
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.mass) and self.mass > 0.0):
-            raise ConfigError(f"mass must be positive, got {self.mass}")
-        if not (np.isfinite(self.hbar) and self.hbar > 0.0):
-            raise ConfigError(f"hbar must be positive, got {self.hbar}")
+        _check_positive(mass=self.mass, hbar=self.hbar)
 
 
 def cesium() -> ParticleSpec:
@@ -140,8 +153,10 @@ class GaussianPacketSpec:
     mean_velocity_v0: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.sigma_x) and self.sigma_x > 0.0):
-            raise ConfigError(f"sigma_x must be positive, got {self.sigma_x}")
+        _check_positive(sigma_x=self.sigma_x)
+        for name in ("center_x0", "mean_velocity_v0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -190,19 +205,16 @@ def _free_packet(
     packet: GaussianPacketSpec,
     particle: ParticleSpec,
     t: float | np.ndarray,
-    x: np.ndarray,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-    x_terms: tuple[np.ndarray, np.ndarray] | None = None,
+    x_terms: tuple[np.ndarray, np.ndarray],
+    out: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
     """Closed-form free packet at the points x: t is a scalar, or a column of
     times (shape (B, 1)) giving one row per time.
 
-    The rows go into out (complex, the broadcast shape) and the real
-    intermediates into work (float, (2,) + that shape), both allocated here
-    when not given, and x_terms is _packet_x_terms(packet, particle, x),
-    computed here when not given; the ufuncs and their order are the same
-    either way.
+    x_terms is _packet_x_terms(packet, particle, x). The rows go into out
+    (complex, the broadcast shape of t and x) and the real intermediates into
+    work (float, (2,) + that shape).
     """
     m, hb = particle.mass, particle.hbar
     s0 = packet.sigma_x
@@ -211,13 +223,6 @@ def _free_packet(
     # array by a real through its reciprocal, Python complex arithmetic does
     # not, and this form rounds a column of times exactly like a scalar time
     alpha = 1.0 + 1j * (hb * t / (2.0 * m * s0 * s0))
-    shape = np.broadcast_shapes(np.shape(t), x.shape)
-    if out is None:
-        out = np.empty(shape, dtype=complex)
-    if work is None:
-        work = np.empty((2,) + shape)
-    if x_terms is None:
-        x_terms = _packet_x_terms(packet, particle, x)
     rel, kx = x_terms
     xc, arg = work
     np.subtract(rel, packet.mean_velocity_v0 * t, out=xc)
@@ -246,7 +251,11 @@ def gaussian_free_state(
     Raises GridTooNarrowError if the truncated tail probability exceeds 1e-10.
     """
     _tail_gate(packet, particle, t, grid)
-    amps = _free_packet(packet, particle, t, grid.x)
+    n = grid.n_points
+    x_terms = _packet_x_terms(packet, particle, grid.x)
+    amps = _free_packet(
+        packet, particle, t, x_terms, np.empty(n, dtype=complex), np.empty((2, n))
+    )
     return WaveFunction(grid=grid, amplitudes=amps, time=t)
 
 

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from numbers import Integral
 
 import numpy as np
 
-from .core import SpatialGrid, WaveFunction
+from .core import SpatialGrid, WaveFunction, _check_count, _check_positive
 from .exceptions import ConfigError, ZeroOverlapError
 from .propagator import ComplexPotentialField
 
@@ -57,13 +56,8 @@ class DiscreteBathSpec:
     omega_0: float
 
     def __post_init__(self) -> None:
-        n = self.n_modes
-        if isinstance(n, bool) or not isinstance(n, Integral):
-            raise ConfigError(f"n_modes must be an integer, got {n!r}")
-        if n < 1:
-            raise ConfigError(f"n_modes must be >= 1, got {n}")
-        if not 0.0 < self.omega_max < np.inf:
-            raise ConfigError(f"omega_max must be positive and finite, got {self.omega_max}")
+        _check_count("n_modes", self.n_modes, 1)
+        _check_positive(omega_max=self.omega_max)
         for name in ("coupling_g", "omega_0"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -84,8 +78,8 @@ class ContinuumRates:
     correlation_time: float
 
     def __post_init__(self) -> None:
-        if self.decay_a < 0.0:
-            raise ConfigError(f"decay rate must be >= 0, got {self.decay_a}")
+        if not 0.0 <= self.decay_a < np.inf:
+            raise ConfigError(f"decay_a must be >= 0 and finite, got {self.decay_a}")
 
 
 def continuum_rates(bath: DiscreteBathSpec) -> ContinuumRates:
@@ -144,8 +138,8 @@ class DetectorSpec:
         if not isinstance(self.profile, RectangularProfile):
             name = type(self.profile).__name__
             raise ConfigError(f"detector profile must be a RectangularProfile, got {name}")
-        if self.decay_a < 0.0:
-            raise ConfigError(f"decay rate must be >= 0, got {self.decay_a}")
+        if not 0.0 <= self.decay_a < np.inf:
+            raise ConfigError(f"decay_a must be >= 0 and finite, got {self.decay_a}")
 
     def potential_field(self, grid: SpatialGrid) -> ComplexPotentialField:
         chi = self.profile.chi(grid)

@@ -16,19 +16,17 @@ the other columns multiply by its mirror image: the same bits, half the
 complex exponentials.
 
 Every node passes the tail gate first, in the calling thread. The blocks then
-run on the shared pool, one per usable core, each in a scratch set the calling
-thread allocated; the calling thread takes them back in block order and does
-the product and the sum. A row's packet, FFT and phase do not depend on the
-rows beside it, and the blocks depend on the grid size alone and hold at most
-64 nodes, so every product has the same shape and sums in the same order: the
-output is bit-for-bit the same for any number of cores and any BLAS thread
-count.
+run through propagator._in_order on the shared pool, one per usable core, each
+in a scratch set the calling thread allocated; the calling thread takes them
+back in block order and does the product and the sum. A row's packet, FFT and
+phase do not depend on the rows beside it, and the blocks depend on the grid
+size alone and hold at most 64 nodes, so every product has the same shape and
+sums in the same order: the output is bit-for-bit the same for any number of
+cores and any BLAS thread count.
 """
 from __future__ import annotations
 
-from concurrent.futures import wait
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -37,6 +35,8 @@ from .core import (
     ParticleSpec,
     SpatialGrid,
     _block_rows,
+    _check_count,
+    _check_positive,
     _free_packet,
     _packet_x_terms,
     _tail_gate,
@@ -44,7 +44,7 @@ from .core import (
 )
 from .detector import DiscreteBathSpec
 from .exceptions import ConfigError, ZeroNormError
-from .propagator import _pool, _usable_cores
+from .propagator import _in_order, _usable_cores
 
 __all__ = [
     "DiscreteResetConfig",
@@ -73,13 +73,9 @@ class DiscreteResetConfig:
     n_time_samples: int = 8192
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta_t < np.inf:
-            raise ConfigError(f"delta_t must be positive and finite, got {self.delta_t}")
-        n = self.n_time_samples
-        if isinstance(n, bool) or not isinstance(n, Integral):
-            raise ConfigError(f"n_time_samples must be an integer, got {n!r}")
-        if n < 2:
-            raise ConfigError(f"n_time_samples must be >= 2 (trapezoid nodes), got {n}")
+        _check_positive(delta_t=self.delta_t)
+        # at least the trapezoid's two nodes
+        _check_count("n_time_samples", self.n_time_samples, 2)
         # fastest phase in the quadrature integrand
         fastest = abs(self.bath.omega_max - self.bath.omega_0)
         periods = fastest * self.delta_t / (2.0 * np.pi)
@@ -116,51 +112,21 @@ class ComparisonMetrics:
 
 
 def _back_propagate(
-    phi: np.ndarray, ikin: np.ndarray, t: np.ndarray, phase: np.ndarray | None = None
+    phi: np.ndarray, ikin: np.ndarray, t: np.ndarray, phase: np.ndarray
 ) -> None:
     """phi[i] *= exp(i kin_phase t[i]) in place, one exponential per |k|.
 
     ikin is 1j * kin_phase[:n // 2 + 1]: kin_phase is even on the grid's k,
     kin_phase[n - j] == kin_phase[j], so columns n // 2 + 1.. multiply by the
     mirror image of the first half. The exponentials go into phase,
-    (len(t), n // 2 + 1), when given.
+    (len(t), n // 2 + 1).
     """
     n = phi.shape[-1]
     half = n // 2 + 1
-    if phase is None:
-        phase = np.empty((len(t), half), dtype=complex)
     np.multiply(ikin, t[:, None], out=phase)
     np.exp(phase, out=phase)
     phi[:, :half] *= phase
     phi[:, half:] *= phase[:, n - half : 0 : -1]
-
-
-def _in_order(fill, blocks, sets):
-    """Yield fill(blocks[i], set) for each block, in block order.
-
-    With one set the calling thread runs every block. With more, the blocks
-    run on the shared pool, block i on sets[i % len(sets)]. A set goes back
-    to the pool, for the block len(sets) further on, when the caller asks for
-    the next block. No task waits on another, so callers may share the pool.
-    A failed block cancels the queued ones and waits for the running ones
-    before its error propagates.
-    """
-    n = len(sets)
-    if n == 1:
-        for t in blocks:
-            yield fill(t, sets[0])
-        return
-    pool = _pool()
-    futures = [pool.submit(fill, blocks[i], sets[i]) for i in range(n)]
-    try:
-        for i in range(len(blocks)):
-            yield futures[i % n].result()
-            if i + n < len(blocks):
-                futures[i % n] = pool.submit(fill, blocks[i + n], sets[i % n])
-    finally:
-        for future in futures:
-            future.cancel()
-        wait(futures)
 
 
 def discrete_reset_density(
@@ -201,7 +167,7 @@ def discrete_reset_density(
             # the set's last FFT wrote the columns x < 0 too
             r[:, :i0] = 0.0
             _free_packet(
-                cfg.packet, particle, t_sub[:, None], x_pos, r[:, i0:], work[:, :b], x_terms
+                cfg.packet, particle, t_sub[:, None], x_terms, r[:, i0:], work[:, :b]
             )
             # back-propagate the projected slices to t=0 in momentum space
             np.fft.fft(r, axis=-1, out=r)

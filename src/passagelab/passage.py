@@ -29,6 +29,8 @@ from .core import (
     SpatialGrid,
     WaveFunction,
     _block_rows,
+    _check_count,
+    _check_positive,
     free_sigma_x,
     gaussian_free_state,
 )
@@ -92,17 +94,10 @@ class ExperimentConfig:
         if p1.b > p2.a:
             raise ConfigError("detector extents must be disjoint")
         for name in ("dt", "dt2", "tau_max"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < np.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        for name in ("tau_stride", "n_entry"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.tau_stride < 1:
-            raise ConfigError(f"tau_stride must be >= 1, got {self.tau_stride}")
-        if self.n_entry < 2:
-            raise ConfigError("n_entry must be >= 2")
+            if getattr(self, name) is not None:
+                _check_positive(**{name: getattr(self, name)})
+        _check_count("tau_stride", self.tau_stride, 1)
+        _check_count("n_entry", self.n_entry, 2)
 
     @property
     def distance_d(self) -> float:
@@ -244,7 +239,7 @@ def _reset_row(cfg: ExperimentConfig, step: int) -> np.ndarray:
     evolving state, so the row has the bits of the ensemble row at that step.
     """
     kernel, psi0, _ = _detector1_start(cfg)
-    batch = _Batch(kernel, psi0.amplitudes[None, :], step, step, hold=True)
+    batch = _Batch(kernel, psi0.amplitudes[None, :], step, step, hold=True, norms=False)
     _evolve_batch(kernel, batch)
     return _reset_states(cfg, kernel.support, batch.held[-1])[0]
 
@@ -392,8 +387,7 @@ def classical_passage(
     tau = np.asarray(tau_grid, dtype=float)
     if np.any(tau <= 0.0):
         raise ConfigError("classical passage needs tau > 0")
-    if d <= 0.0:
-        raise ConfigError("distance d must be positive")
+    _check_positive(d=d)
     _check_forward_packet(packet, particle, "classical map invalid")
     m = particle.mass
     p0 = m * packet.mean_velocity_v0

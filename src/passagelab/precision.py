@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GaussianPacketSpec, ParticleSpec, build_grid, free_sigma_x
+from .core import (
+    GaussianPacketSpec,
+    ParticleSpec,
+    _check_positive,
+    build_grid,
+    free_sigma_x,
+)
 from .detector import DetectorSpec, RectangularProfile
 from .exceptions import ConfigError, ConvergenceError
 from .passage import (
@@ -46,12 +52,6 @@ _SAMPLES_PER_WIDTH = 56
 _WIDTH_DRIFT_TOL = 1e-3
 
 
-def _positive_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not 0.0 < value < np.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
-
-
 @dataclass(frozen=True)
 class WidthBudget:
     delay_term: float
@@ -80,7 +80,7 @@ def width_estimate(
     v0: float,
 ) -> WidthBudget:
     """Three-term passage-width budget for given reset width and decay rate."""
-    _positive_finite(delta_x_reset=delta_x_reset, a=a, d=d, v0=v0)
+    _check_positive(delta_x_reset=delta_x_reset, a=a, d=d, v0=v0)
     m, hb = particle.mass, particle.hbar
     return WidthBudget(
         delay_term=2.0 / a,
@@ -102,14 +102,14 @@ def optimal_plan(
     a = v0 / (2 delta_x) and the width field holds the budget total at that
     operating point instead of the unconstrained closed form.
     """
-    _positive_finite(d=d, v0=v0)
+    _check_positive(d=d, v0=v0)
     m, hb = particle.mass, particle.hbar
     energy = 0.5 * m * v0 * v0
     if delta_x is None:
         dx = np.sqrt(hb * d / (2.0 * m * v0))
         dtau = np.sqrt(5.0 * hb * d * np.sqrt(m / 2.0)) * energy**-0.75
     else:
-        _positive_finite(delta_x=delta_x)
+        _check_positive(delta_x=delta_x)
         dx = delta_x
         dtau = width_estimate(dx, v0 / (2.0 * dx), d, particle, v0).total
     a_opt = v0 / (2.0 * dx)
@@ -245,9 +245,9 @@ def scaling_sweep(
     ensemble or None) pairs; the per-point work touches no shared state.
     """
     v0s = np.sort(np.asarray(v0_values, dtype=float))
-    _positive_finite(d=d)
+    _check_positive(d=d)
     for v0 in v0s:
-        _positive_finite(v0_values=v0)
+        _check_positive(v0_values=v0)
     if len(v0s) < 2 or v0s[0] == v0s[-1]:
         raise ConfigError("scaling sweep needs at least two distinct velocities")
     configs = [sweep_point_config(v0, d, particle, n_entry) for v0 in v0s]

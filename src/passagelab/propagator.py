@@ -9,6 +9,8 @@ the shift is non-zero, so the batched kernel multiplies on that span only.
 A sample takes only the moduli of the closed state; squares, sums and the
 finiteness check run once per block of samples, with the same bits as one
 sample at a time.
+Stage 2's row chunks and the discrete oracle's node blocks run on one shared
+thread pool through one runner, _in_order, which returns them in order.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParticleSpec, SpatialGrid, WaveFunction
+from .core import ParticleSpec, SpatialGrid, WaveFunction, _check_positive
 from .exceptions import ConfigError, GridError, InstabilityError
 
 __all__ = [
@@ -75,16 +77,11 @@ def _potential_half_factor(pot: ComplexPotentialField, dt: float) -> np.ndarray:
     return np.exp(-(pot.decay_rate + 1j * pot.real_shift) * (dt * 0.25))
 
 
-def _check_dt(dt: float) -> None:
-    if not (dt > 0.0 and np.isfinite(dt)):
-        raise ConfigError(f"dt must be positive and finite, got {dt}")
-
-
 def step(
     psi: WaveFunction, pot: ComplexPotentialField, particle: ParticleSpec, dt: float
 ) -> WaveFunction:
     """One Strang step of size dt."""
-    _check_dt(dt)
+    _check_positive(dt=dt)
     if pot.grid != psi.grid:
         raise GridError("potential and state live on different grids")
     vhalf = _potential_half_factor(pot, dt)
@@ -106,7 +103,7 @@ _POOL_LOCK = threading.Lock()
 
 
 def _pool() -> ThreadPoolExecutor:
-    """The process-wide pool that runs row chunks, created on first use."""
+    """The process-wide pool that _in_order runs on, created on first use."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
@@ -114,6 +111,34 @@ def _pool() -> ThreadPoolExecutor:
                 max_workers=_usable_cores(), thread_name_prefix="passagelab"
             )
         return _POOL
+
+
+def _in_order(fill, blocks, sets):
+    """Yield fill(blocks[i], set) for each block, in block order.
+
+    With one set the calling thread runs every block. With more, the blocks
+    run on the shared pool, block i on sets[i % len(sets)]. A set goes back
+    to the pool, for the block len(sets) further on, when the caller asks for
+    the next block. No task waits on another, so callers may share the pool.
+    A failed block cancels the queued ones and waits for the running ones
+    before its error propagates.
+    """
+    n = len(sets)
+    if n == 1:
+        for t in blocks:
+            yield fill(t, sets[0])
+        return
+    pool = _pool()
+    futures = [pool.submit(fill, blocks[i], sets[i]) for i in range(n)]
+    try:
+        for i in range(len(blocks)):
+            yield futures[i % n].result()
+            if i + n < len(blocks):
+                futures[i % n] = pool.submit(fill, blocks[i + n], sets[i % n])
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 @dataclass(frozen=True)
@@ -152,16 +177,16 @@ _BLOCK_BYTES = 1 << 20
 class _Batch:
     """Every array one batch run writes, allocated before the run starts.
 
-    amps (r, n) is the state, evolved in place; spec is the FFT buffer, whose
-    span of the kernel is free between steps and takes each sample's closed
-    state there. w1 (r, n_samples) takes the samples at steps. With norms,
-    nsq (r, n_samples) takes every sample's norm^2; without, nsq (r, 1) takes
-    the last sample's only, and the other samples read the kernel's span
-    alone. With hold, held (n_samples, r, n_span) takes the closed states on
-    the kernel's span at the same samples; else it is (n_samples, r, 0).
-    dens (block, r, width) takes |closed state| at up to block samples, on
-    the whole grid with norms and on the span without, until they are
-    reduced together; block keeps it within _BLOCK_BYTES.
+    amps (r, n) is the state, evolved in place and closed after the run;
+    spec is the FFT buffer, whose span of the kernel is free between steps
+    and takes each sample's closed state there; all of it is free after the
+    run. w1 (r, n_samples) takes the samples at steps. With norms, nsq
+    (r, n_samples) takes their norm^2 and the samples read the whole grid;
+    else nsq is (r, 0) and they read the kernel's span. With hold, held
+    (n_samples, r, n_span) takes the closed states on the kernel's span at
+    the same samples; else it is (n_samples, r, 0). dens (block, r, width)
+    takes |closed state| at up to block samples, on what the samples read,
+    until they are reduced together; block keeps it within _BLOCK_BYTES.
     """
 
     def __init__(
@@ -185,7 +210,7 @@ class _Batch:
         rows, n = self.amps.shape
         n_span = len(kernel.decay)
         self.w1 = np.empty((rows, len(steps)))
-        self.nsq = np.empty((rows, len(steps) if norms else 1))
+        self.nsq = np.empty((rows, len(steps) if norms else 0))
         self.held = np.empty((len(steps), rows, n_span if hold else 0), dtype=complex)
         width = n if norms else n_span
         block = max(1, min(len(steps), _BLOCK_BYTES // max(1, rows * width * 8)))
@@ -258,15 +283,6 @@ def _evolve_batch(kernel: _Kernel, batch: _Batch) -> None:
             k += 1
         if s < n_steps:
             amps_on *= vfull
-    if not norms:
-        # the last sample's norm^2: |closed| is |amps| off the span and
-        # dens[k - 1] on it; spec is free after the last step
-        last = spec.view(float)[:, : amps.shape[-1]]
-        np.abs(amps, out=last)
-        last[:, support] = dens[k - 1]
-        np.square(last, out=last)
-        np.sum(last, axis=-1, out=batch.nsq[:, 0])
-        batch.nsq *= kernel.dx
     _reduce(kernel, batch, j - k, k)
     amps_on *= vhalf
 
@@ -276,27 +292,27 @@ def _evolve_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evolve independent rows on the usable cores; (steps, w1 rows, final norm^2).
 
-    The rows are split into contiguous chunks, one per core. Every chunk's
-    arrays are allocated here, in the calling thread; the pool threads run
-    only the kernel. Because the kernel's per-row results do not depend on
+    The rows are split into contiguous chunks, one per core, run as the
+    blocks of _in_order. Every chunk's arrays are allocated here, in the
+    calling thread. Because the kernel's per-row results do not depend on
     the batch, the output is the same for any number of chunks. Samples
-    read the kernel's span only, and the norm is taken at the last sample.
+    read the kernel's span only; the norm is taken from the closed state.
     """
     n_chunks = max(1, min(_usable_cores(), len(rows)))
     batches = [
         _Batch(kernel, c, n_steps, sample_stride, norms=False)
         for c in np.array_split(rows, n_chunks)
     ]
-    if n_chunks == 1:
-        _evolve_batch(kernel, batches[0])
-    else:
-        pool = _pool()
-        futures = [pool.submit(_evolve_batch, kernel, b) for b in batches]
-        wait(futures)
-        for future in futures:
-            future.result()
+
+    def run(batch, _):
+        _evolve_batch(kernel, batch)
+        # the closed state's norm^2; the FFT buffer is free after the run
+        dens = batch.spec.view(float)[:, : rows.shape[-1]]
+        np.square(np.abs(batch.amps, out=dens), out=dens)
+        return np.sum(dens, axis=-1) * kernel.dx
+
+    nsq = np.concatenate(list(_in_order(run, batches, batches)))
     w1 = np.concatenate([b.w1 for b in batches])
-    nsq = np.concatenate([b.nsq[:, 0] for b in batches])
     return batches[0].steps, w1, nsq
 
 
@@ -331,7 +347,7 @@ def evolve_conditional(
 
     The returned state is the conditional (unnormalized) state at t_final.
     """
-    _check_dt(dt)
+    _check_positive(dt=dt)
     if not np.isfinite(t_final):
         raise ConfigError(f"t_final must be finite, got {t_final}")
     if pot.grid != psi0.grid:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import passagelab as pl
-from passagelab.core import HBAR, CESIUM_MASS, _free_packet
+from passagelab.core import HBAR, CESIUM_MASS, _free_packet, _packet_x_terms
 
 
 def test_grid_spacing_exact():
@@ -92,6 +92,14 @@ def test_gaussian_free_state_carries_spatial_phase():
     assert np.max(np.abs(phi1 - phi0)) / np.max(phi0) < 1e-9
 
 
+def _packet_rows(packet, particle, t, x):
+    """_free_packet into new buffers of the broadcast shape of t and x."""
+    shape = np.broadcast_shapes(np.shape(t), x.shape)
+    x_terms = _packet_x_terms(packet, particle, x)
+    out, work = np.empty(shape, dtype=complex), np.empty((2,) + shape)
+    return _free_packet(packet, particle, t, x_terms, out, work)
+
+
 def test_free_state_equals_closed_form_on_a_time_column():
     # the discrete oracle evaluates the closed form for a column of times on
     # the points x >= 0; each row must be the scalar-time state bit for bit
@@ -100,7 +108,7 @@ def test_free_state_equals_closed_form_on_a_time_column():
     grid = pl.build_grid(-30e-6, 200e-6, 8192)
     times = [0.0, 4.185e-11, 1.3e-7, 2e-4, 1.7e-3, 6.1e-3]
     i0 = int(np.searchsorted(grid.x, 0.0))
-    column = _free_packet(packet, particle, np.array(times)[:, None], grid.x[i0:])
+    column = _packet_rows(packet, particle, np.array(times)[:, None], grid.x[i0:])
     for t, row in zip(times, column):
         psi = pl.gaussian_free_state(packet, particle, t, grid)
         assert np.array_equal(psi.amplitudes[i0:], row)
@@ -124,19 +132,20 @@ def _one_expression_packet(packet, particle, t, x):
 
 
 def test_free_packet_into_buffers_rounds_like_one_expression():
-    # the step-by-step form, into its own arrays or into given ones (a
-    # strided view, as the discrete oracle passes), has the bits of the
-    # closed form written as one expression
+    # the step-by-step form, into new arrays or into a strided view (as the
+    # discrete oracle passes), has the bits of the closed form written as
+    # one expression
     packet = pl.GaussianPacketSpec(center_x0=-1e-6, sigma_x=1e-6, mean_velocity_v0=7.17e-3)
     particle = pl.cesium()
     x = pl.build_grid(-30e-6, 200e-6, 1024).x[131:]
     column = np.array([0.0, 4.185e-11, 1.3e-7, 2e-4, 6.1e-3])[:, None]
     for t in (0.0, 1.3e-7, column):
         ref = _one_expression_packet(packet, particle, t, x)
-        assert _free_packet(packet, particle, t, x).tobytes() == ref.tobytes()
+        assert _packet_rows(packet, particle, t, x).tobytes() == ref.tobytes()
     rows = np.zeros((len(column), 1024), dtype=complex)
     work = np.empty((2, len(column), len(x)))
-    _free_packet(packet, particle, column, x, rows[:, 131:], work)
+    x_terms = _packet_x_terms(packet, particle, x)
+    _free_packet(packet, particle, column, x_terms, rows[:, 131:], work)
     assert rows[:, 131:].tobytes() == ref.tobytes()
     assert not rows[:, :131].any()
 
@@ -176,6 +185,25 @@ def test_wavefunction_length_must_match_grid():
     grid = pl.build_grid(-1e-6, 1e-6, 64)
     with pytest.raises(pl.GridError):
         pl.WaveFunction(grid=grid, amplitudes=np.ones(32, dtype=complex), time=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("center_x0", np.nan),
+        ("center_x0", -np.inf),
+        ("mean_velocity_v0", np.nan),
+        ("mean_velocity_v0", np.inf),
+        ("sigma_x", np.nan),
+    ],
+)
+def test_packet_rejects_non_finite_fields(field, bad):
+    # a NaN centre or velocity used to construct, then fail far downstream
+    # (non-finite amplitudes, a NaN t_start, an all-NaN Kijowski density)
+    fields = dict(center_x0=0.0, sigma_x=1e-6, mean_velocity_v0=7.17e-3)
+    fields[field] = bad
+    with pytest.raises(pl.ConfigError, match=f"^{field} must be .*finite, got {bad}$"):
+        pl.GaussianPacketSpec(**fields)
 
 
 def test_packet_validation():

@@ -30,6 +30,13 @@ def test_rectangular_profile_validation():
         pl.RectangularProfile(4e-6, 2e-6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_detector_rejects_bad_decay_rate(bad):
+    # NaN < 0 is False, so a NaN rate used to construct
+    with pytest.raises(pl.ConfigError, match=f"^decay_a must be >= 0 and finite, got {bad}$"):
+        pl.DetectorSpec(profile=pl.RectangularProfile(0.0, 20e-6), decay_a=bad)
+
+
 def test_continuum_rates_closed_forms():
     rates = pl.continuum_rates(_bath())
     # A = 2 pi G^2 omega_0 / omega_M

@@ -13,7 +13,7 @@ import pytest
 
 import passagelab as pl
 from passagelab import discrete_oracle
-from passagelab.core import _block_rows, _free_packet, _tail_gate
+from passagelab.core import _block_rows, _free_packet, _packet_x_terms, _tail_gate
 from passagelab.discrete_oracle import _MAX_BLOCK_NODES, _back_propagate
 
 OMEGA_0 = 2.38e12
@@ -210,12 +210,13 @@ def test_mirrored_phase_is_the_full_width_phase(n_points):
     full = np.exp(1j * kin_phase * t[:, None])
     ikin = 1j * kin_phase[: n_points // 2 + 1]
     phase = np.ones((len(t), n_points), dtype=complex)
-    _back_propagate(phase, ikin, t)
+    exps = np.empty((len(t), n_points // 2 + 1), dtype=complex)
+    _back_propagate(phase, ikin, t, exps)
     assert phase.tobytes() == full.tobytes()
     rng = np.random.default_rng(n_points)
     phi = rng.normal(size=phase.shape) + 1j * rng.normal(size=phase.shape)
     mirrored = phi.copy()
-    _back_propagate(mirrored, ikin, t)
+    _back_propagate(mirrored, ikin, t, exps)
     assert mirrored.tobytes() == (phi * full).tobytes()
 
 
@@ -227,7 +228,7 @@ def test_density_bytes_match_full_width_phase(monkeypatch):
     mirrored = pl.discrete_reset_density(cfg, grid, particle).values
     kin_phase = particle.hbar * grid.k * grid.k / (2.0 * particle.mass)
 
-    def full_width(phi, ikin, t, phase=None):
+    def full_width(phi, ikin, t, phase):
         phi *= np.exp(1j * kin_phase * t[:, None])
 
     monkeypatch.setattr(discrete_oracle, "_back_propagate", full_width)
@@ -267,7 +268,9 @@ def _whole_block_density(cfg, grid, particle):
     for start in range(0, nt, block):
         t = ts[start : start + block]
         rows = np.zeros((len(t), grid.n_points), dtype=complex)
-        rows[:, i0:] = _free_packet(cfg.packet, particle, t[:, None], grid.x[i0:])
+        x_terms = _packet_x_terms(cfg.packet, particle, grid.x[i0:])
+        work = np.empty((2, len(t), grid.n_points - i0))
+        _free_packet(cfg.packet, particle, t[:, None], x_terms, rows[:, i0:], work)
         phi = np.fft.fft(rows, axis=-1)
         phi *= np.exp(1j * kin_phase * t[:, None])
         acc += weights[start : start + block] * np.exp(1j * dw[:, None] * t) @ phi

@@ -372,6 +372,15 @@ def test_classical_passage_against_monte_carlo():
     assert std == pytest.approx(float(np.std(samples)), rel=5e-3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -80e-6])
+def test_classical_passage_rejects_bad_distance(bad):
+    # a NaN distance used to return NaN
+    particle = pl.ParticleSpec(mass=1e-26)
+    packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=2e-6, mean_velocity_v0=0.05)
+    with pytest.raises(pl.ConfigError, match=f"^d must be positive and finite, got {bad}$"):
+        pl.classical_passage(packet, particle, bad, np.linspace(1e-3, 9e-3, 10))
+
+
 def test_classical_passage_rejects_negative_momentum_mass():
     particle = pl.ParticleSpec(mass=1e-26)
     slow = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=1e-6, mean_velocity_v0=0.02)

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import passagelab as pl
 from passagelab import propagator
-from passagelab.propagator import _Batch, _evolve_batch, _kernel
+from passagelab.propagator import _Batch, _evolve_batch, _evolve_rows, _kernel
 
 
 def _ivb_setup(n=2048, x_max=50e-6):
@@ -316,8 +317,79 @@ def test_block_reductions_match_one_sample_at_a_time(
     amps, w1, nsq, held = _one_sample_at_a_time(kernel, rows, n_steps, stride)
     assert _same_bytes(batch.amps, amps)
     assert _same_bytes(batch.w1, w1)
-    assert _same_bytes(batch.nsq, nsq if norms else nsq[:, -1:])
+    assert _same_bytes(batch.nsq, nsq if norms else nsq[:, :0])
     assert _same_bytes(batch.held, held if hold else held[..., :0])
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_stage2_final_norms_match_one_sample_at_a_time(cores, monkeypatch):
+    # the norm^2 taken from the closed state after the run, on 1, 2 and 3
+    # chunks, has the bytes of the last sample's norm^2
+    kernel, rows = _four_rows()
+    monkeypatch.setattr(propagator, "_usable_cores", lambda: cores)
+    steps, w1, nsq = _evolve_rows(kernel, rows, 37, 5)
+    _, w1_ref, nsq_ref, _ = _one_sample_at_a_time(kernel, rows, 37, 5)
+    assert list(steps) == [0, 5, 10, 15, 20, 25, 30, 35, 37]
+    assert _same_bytes(w1, w1_ref)
+    assert _same_bytes(nsq, nsq_ref[:, -1])
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_failed_chunk_propagates_and_the_pool_recovers(cores, monkeypatch):
+    # the first chunk holds an inf row and fails at its first sample while
+    # the others run slowly: the error reaches the caller after every
+    # started chunk has stopped, and the next call on the same pool gives
+    # the right bytes
+    kernel, rows = _four_rows()
+    bad = rows.copy()
+    bad[0, 0] = np.inf
+    evolve = propagator._evolve_batch
+    started, stopped = [], []
+
+    def slow(kernel, batch):
+        started.append(time.perf_counter())
+        try:
+            if np.all(np.isfinite(batch.amps.view(float))):
+                time.sleep(0.1)
+            with np.errstate(invalid="ignore"):
+                evolve(kernel, batch)
+        finally:
+            stopped.append(time.perf_counter())
+
+    def call_in_thread(rows):
+        """(result or error, when it returned); a deadlocked call fails the
+        test instead of hanging it."""
+        outcome = []
+
+        def run():
+            try:
+                result = _evolve_rows(kernel, rows, 37, 5)
+            except Exception as exc:  # handed to the test thread
+                result = exc
+            outcome.append((result, time.perf_counter()))
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60.0)
+        assert outcome, "the stage-2 call did not return"
+        return outcome[0]
+
+    # a pool of its own with one worker per chunk, so that every chunk starts
+    monkeypatch.setattr(propagator, "_POOL", None)
+    monkeypatch.setattr(propagator, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(propagator, "_evolve_batch", slow)
+    try:
+        err, returned = call_in_thread(bad)
+        assert isinstance(err, pl.InstabilityError)
+        time.sleep(0.2)
+        assert len(started) == len(stopped) == cores
+        assert max(stopped) < returned
+        _, w1, nsq = call_in_thread(rows)[0]
+    finally:
+        propagator._pool().shutdown()
+    _, w1_ref, nsq_ref, _ = _one_sample_at_a_time(kernel, rows, 37, 5)
+    assert _same_bytes(w1, w1_ref)
+    assert _same_bytes(nsq, nsq_ref[:, -1])
 
 
 def test_kernel_names_the_first_non_finite_step_inside_a_block():
