@@ -48,7 +48,6 @@ from .exceptions import ConfigError, ConvergenceError, PassageLabError, RegimeWa
 from .passage import (
     ExperimentConfig,
     _arrival_pass,
-    _entry_steps,
     _reset_row,
     arrival_stage,
     kijowski_distribution,
@@ -330,14 +329,7 @@ def _cmd_passage(conf: dict, out: Path, args: argparse.Namespace) -> dict:
 def _cmd_reset_state(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     cfg = build_experiment(conf)
     # one row of arrival_stage's ensemble, without its held stack or other rows
-    record, _, _ = _arrival_pass(cfg)
-    want = conf["reset_state"]["at_time"]
-    if want is None:
-        want = peak_time(record)
-    steps, entry_times = _entry_steps(cfg, record)
-    i = int(np.argmin(np.abs(entry_times - want)))
-    t_used = float(entry_times[i])
-    row = _reset_row(cfg, int(steps[i]))
+    t_used, row = _reset_row(cfg, conf["reset_state"]["at_time"])
     psi = WaveFunction(grid=cfg.grid, amplitudes=row, time=t_used)
     mom = observables(psi, hbar=cfg.particle.hbar)
     dens_x = np.abs(psi.amplitudes) ** 2
@@ -412,7 +404,9 @@ def _cmd_kijowski(conf: dict, out: Path, args: argparse.Namespace) -> dict:
 def _cmd_precision_sweep(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     sw = conf["sweep"]
     _check_count("sweep.n_points", sw["n_points"], 2)
-    _check_positive(**{f"sweep.{key}": sw[key] for key in ("v0_min", "v0_max")})
+    _check_positive(
+        **{f"sweep.{key}": sw[key] for key in ("v0_min", "v0_max", "distance")}
+    )
     particle = _particle(conf)
     v0s = np.geomspace(sw["v0_min"], sw["v0_max"], sw["n_points"])
     # one worker runs the points in order; each point's bits are thread-free

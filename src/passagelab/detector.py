@@ -100,8 +100,8 @@ def kappa(bath: DiscreteBathSpec, tau: float, mode: str = "discrete") -> complex
     mode="discrete": the finite sum over modes. mode="continuum": the closed
     form of the dense-spectrum limit, with a series branch near tau=0.
     """
-    if not tau >= 0.0:
-        raise ConfigError(f"kappa is defined for tau >= 0, got {tau}")
+    if not 0.0 <= tau < np.inf:
+        raise ConfigError(f"kappa is defined for finite tau >= 0, got {tau}")
     w0, wm, g = bath.omega_0, bath.omega_max, bath.coupling_g
     if mode == "discrete":
         wn = bath.mode_frequencies()

@@ -38,12 +38,11 @@ from .detector import DetectorSpec
 from .exceptions import ConfigError, GridError, NoDetectionError, RegimeWarning
 from .propagator import (
     DetectionRecord,
-    _Batch,
     _conditional,
-    _evolve_batch,
     _evolve_rows,
     _Kernel,
     _kernel,
+    peak_time,
 )
 
 __all__ = [
@@ -231,17 +230,19 @@ def _reset_states(cfg: ExperimentConfig, support: slice, held: np.ndarray) -> np
     return states
 
 
-def _reset_row(cfg: ExperimentConfig, step: int) -> np.ndarray:
-    """The reset state sqrt(A) chi psi_cond at one step of detector 1's window.
-
-    One row is propagated from the same start state with the same kernel as
-    the arrival pass and sampled at that step only. Sampling never writes the
-    evolving state, so the row has the bits of the ensemble row at that step.
-    """
+def _reset_row(cfg: ExperimentConfig, at_time: float | None) -> tuple[float, np.ndarray]:
+    """(T, sqrt(A) chi psi_cond(T)) at the entry T nearest at_time (default: the
+    w1 peak), propagated alone to T's step from the arrival pass's start state.
+    Its closed final state has the bits of the ensemble's row at T."""
+    record, _, _ = _arrival_pass(cfg)
+    steps, entry_times = _entry_steps(cfg, record)
+    want = peak_time(record) if at_time is None else at_time
+    i = int(np.argmin(np.abs(entry_times - want)))
     kernel, psi0, _ = _detector1_start(cfg)
-    batch = _Batch(kernel, psi0.amplitudes[None, :], step, step, hold=True, norms=False)
-    _evolve_batch(kernel, batch)
-    return _reset_states(cfg, kernel.support, batch.held[-1])[0]
+    step = int(steps[i])
+    _, _, final = _evolve_rows(kernel, psi0.amplitudes[None, :], step, step)
+    row = _reset_states(cfg, kernel.support, final[:, kernel.support])[0]
+    return float(entry_times[i]), row
 
 
 def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble]:
@@ -255,9 +256,9 @@ def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble
     at dt = 1e-6 on the reference grid (712 of 8192 points on detector 1),
     27.8 MB at the 3 mm/s sweep point, growing as 1/dt. It pays off only when
     every row is needed: a caller that needs the record alone runs
-    `_arrival_pass` without hold, and one that needs a single row picks its
-    step with `_entry_steps` and propagates it with `_reset_row`, holding no
-    stack and building no ensemble.
+    `_arrival_pass` without hold, and one that needs a single row takes it
+    from `_reset_row`, which picks its step with `_entry_steps`, holds no
+    stack and builds no ensemble.
     """
     record, held, support = _arrival_pass(cfg, hold=True)
     times, cum = record.times, record.cumulative_detected
@@ -333,12 +334,16 @@ def passage_distribution(
     basis[:, span] = svals[keep, None] * vrows[keep]
 
     pot2 = cfg.detector2.potential_field(grid)  # detector 1 is off in stage 2
-    steps, w1rows, final_nsq = _evolve_rows(
+    steps, w1rows, final = _evolve_rows(
         _kernel(grid, particle, pot2, dt2), basis, n_steps, cfg.tau_stride
     )
+    # each row's norm^2, squared in place, then their sum over the rows; the
+    # rows are freed before G's arrays are made, which lowers the memory peak
+    dens = np.abs(final)
+    residual_2 = float(np.sum(np.sum(np.square(dens, out=dens), axis=-1) * grid.dx))
+    del final, dens
     tau = steps * dt2
     g_tau = np.sum(w1rows, axis=0)
-    residual_2 = float(np.sum(final_nsq))
 
     total, mean, std = _moments(tau, g_tau)
     entry_truncation = ensemble.p_detected_1 - ensemble.captured_mass
@@ -385,6 +390,8 @@ def classical_passage(
     G_cl(tau) = |phi(p)|^2 m d / tau^2 at p = m d / tau.
     """
     tau = np.asarray(tau_grid, dtype=float)
+    if not np.all(np.isfinite(tau)):
+        raise ConfigError("tau_grid must be finite")
     if np.any(tau <= 0.0):
         raise ConfigError("classical passage needs tau > 0")
     _check_positive(d=d)

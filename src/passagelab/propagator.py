@@ -179,14 +179,14 @@ class _Batch:
 
     amps (r, n) is the state, evolved in place and closed after the run;
     spec is the FFT buffer, whose span of the kernel is free between steps
-    and takes each sample's closed state there; all of it is free after the
-    run. w1 (r, n_samples) takes the samples at steps. With norms, nsq
-    (r, n_samples) takes their norm^2 and the samples read the whole grid;
-    else nsq is (r, 0) and they read the kernel's span. With hold, held
-    (n_samples, r, n_span) takes the closed states on the kernel's span at
-    the same samples; else it is (n_samples, r, 0). dens (block, r, width)
-    takes |closed state| at up to block samples, on what the samples read,
-    until they are reduced together; block keeps it within _BLOCK_BYTES.
+    and takes each sample's closed state there. w1 (r, n_samples) takes the
+    samples at steps. With norms, nsq (r, n_samples) takes their norm^2 and
+    the samples read the whole grid; else nsq is (r, 0) and they read the
+    kernel's span. With hold, held (n_samples, r, n_span) takes the closed
+    states on the kernel's span at the same samples; else it is
+    (n_samples, r, 0). dens (block, r, width) takes |closed state| at up to
+    block samples, on what the samples read, until they are reduced
+    together; block keeps it within _BLOCK_BYTES.
     """
 
     def __init__(
@@ -290,30 +290,25 @@ def _evolve_batch(kernel: _Kernel, batch: _Batch) -> None:
 def _evolve_rows(
     kernel: _Kernel, rows: np.ndarray, n_steps: int, sample_stride: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evolve independent rows on the usable cores; (steps, w1 rows, final norm^2).
+    """Evolve independent rows on the usable cores; (steps, w1 rows, final rows).
 
     The rows are split into contiguous chunks, one per core, run as the
     blocks of _in_order. Every chunk's arrays are allocated here, in the
     calling thread. Because the kernel's per-row results do not depend on
     the batch, the output is the same for any number of chunks. Samples
-    read the kernel's span only; the norm is taken from the closed state.
+    read the kernel's span only; the final rows are the closed states at
+    n_steps, whose span has the bits of the last sample's closed state.
     """
     n_chunks = max(1, min(_usable_cores(), len(rows)))
     batches = [
         _Batch(kernel, c, n_steps, sample_stride, norms=False)
         for c in np.array_split(rows, n_chunks)
     ]
-
-    def run(batch, _):
-        _evolve_batch(kernel, batch)
-        # the closed state's norm^2; the FFT buffer is free after the run
-        dens = batch.spec.view(float)[:, : rows.shape[-1]]
-        np.square(np.abs(batch.amps, out=dens), out=dens)
-        return np.sum(dens, axis=-1) * kernel.dx
-
-    nsq = np.concatenate(list(_in_order(run, batches, batches)))
-    w1 = np.concatenate([b.w1 for b in batches])
-    return batches[0].steps, w1, nsq
+    list(_in_order(lambda batch, _: _evolve_batch(kernel, batch), batches, batches))
+    steps, w1 = batches[0].steps, np.concatenate([b.w1 for b in batches])
+    final = [b.amps for b in batches]
+    del batches  # free the FFT and sample buffers before the rows are joined
+    return steps, w1, np.concatenate(final)
 
 
 def _conditional(

@@ -238,7 +238,16 @@ def test_kijowski_section_validated(tmp_path, capsys, section):
 
 
 @pytest.mark.parametrize(
-    "section", ["{n_points: -1}", "{n_points: 0}", "{n_points: 1}", "{v0_min: 0}", "{v0_max: -3 mm/s}"]
+    "section",
+    [
+        "{n_points: -1}",
+        "{n_points: 0}",
+        "{n_points: 1}",
+        "{v0_min: 0}",
+        "{v0_max: -3 mm/s}",
+        "{distance: 0}",
+        "{distance: -1 um}",
+    ],
 )
 def test_sweep_section_validated(tmp_path, capsys, section):
     p = tmp_path / "sweep.yaml"

@@ -151,8 +151,11 @@ def test_kappa_negative_tau_rejected():
 
 
 def test_kappa_nan_tau_and_unknown_mode_rejected():
-    with pytest.raises(pl.ConfigError, match="tau >= 0, got nan"):
-        pl.kappa(_bath(), float("nan"))
+    for mode in ("discrete", "continuum"):
+        with pytest.raises(pl.ConfigError, match="tau >= 0, got nan"):
+            pl.kappa(_bath(), float("nan"), mode=mode)
+        with pytest.raises(pl.ConfigError, match="tau >= 0, got inf"):
+            pl.kappa(_bath(), float("inf"), mode=mode)
     with pytest.raises(pl.ConfigError, match="unknown kappa mode"):
         pl.kappa(_bath(), 0.0, mode="lattice")
 

@@ -381,6 +381,15 @@ def test_classical_passage_rejects_bad_distance(bad):
         pl.classical_passage(packet, particle, bad, np.linspace(1e-3, 9e-3, 10))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classical_passage_rejects_non_finite_tau(bad):
+    # a NaN tau used to return NaN and an infinite one 0
+    particle = pl.ParticleSpec(mass=1e-26)
+    packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=2e-6, mean_velocity_v0=0.05)
+    with pytest.raises(pl.ConfigError, match="tau_grid must be finite"):
+        pl.classical_passage(packet, particle, 80e-6, np.array([1e-3, bad]))
+
+
 def test_classical_passage_rejects_negative_momentum_mass():
     particle = pl.ParticleSpec(mass=1e-26)
     slow = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=1e-6, mean_velocity_v0=0.02)

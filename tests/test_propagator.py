@@ -323,15 +323,16 @@ def test_block_reductions_match_one_sample_at_a_time(
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_stage2_final_norms_match_one_sample_at_a_time(cores, monkeypatch):
-    # the norm^2 taken from the closed state after the run, on 1, 2 and 3
-    # chunks, has the bytes of the last sample's norm^2
+    # the closed final rows, on 1, 2 and 3 chunks, have the bytes of the
+    # state closed after the last step; the norm^2 that passage_distribution
+    # takes from them is checked through its leakage_report
     kernel, rows = _four_rows()
     monkeypatch.setattr(propagator, "_usable_cores", lambda: cores)
-    steps, w1, nsq = _evolve_rows(kernel, rows, 37, 5)
-    _, w1_ref, nsq_ref, _ = _one_sample_at_a_time(kernel, rows, 37, 5)
+    steps, w1, final = _evolve_rows(kernel, rows, 37, 5)
+    amps_ref, w1_ref, _, _ = _one_sample_at_a_time(kernel, rows, 37, 5)
     assert list(steps) == [0, 5, 10, 15, 20, 25, 30, 35, 37]
     assert _same_bytes(w1, w1_ref)
-    assert _same_bytes(nsq, nsq_ref[:, -1])
+    assert _same_bytes(final, amps_ref)
 
 
 @pytest.mark.parametrize("cores", [2, 3])
@@ -384,12 +385,12 @@ def test_failed_chunk_propagates_and_the_pool_recovers(cores, monkeypatch):
         time.sleep(0.2)
         assert len(started) == len(stopped) == cores
         assert max(stopped) < returned
-        _, w1, nsq = call_in_thread(rows)[0]
+        _, w1, final = call_in_thread(rows)[0]
     finally:
         propagator._pool().shutdown()
-    _, w1_ref, nsq_ref, _ = _one_sample_at_a_time(kernel, rows, 37, 5)
+    amps_ref, w1_ref, _, _ = _one_sample_at_a_time(kernel, rows, 37, 5)
     assert _same_bytes(w1, w1_ref)
-    assert _same_bytes(nsq, nsq_ref[:, -1])
+    assert _same_bytes(final, amps_ref)
 
 
 def test_kernel_names_the_first_non_finite_step_inside_a_block():
