@@ -361,6 +361,7 @@ def _cmd_reset_state(conf: dict, out: Path, args: argparse.Namespace) -> dict:
 
 def _cmd_discrete_compare(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     bath, b = build_bath(conf)
+    rates = continuum_rates(bath)
     particle = _particle(conf)
     packet = _packet(b["packet"])
     grid = build_grid(b["grid"]["x_min"], b["grid"]["x_max"], b["grid"]["n_points"])
@@ -368,7 +369,6 @@ def _cmd_discrete_compare(conf: dict, out: Path, args: argparse.Namespace) -> di
         bath=bath, packet=packet, delta_t=b["delta_t"], n_time_samples=b["n_time_samples"]
     )
     disc = discrete_reset_density(rcfg, grid, particle)
-    rates = continuum_rates(bath)
     cont = continuum_reset_density(packet, particle, rates.decay_a, b["delta_t"], grid)
     metrics = compare_densities(
         disc, cont, exclusion=(-2.0 * packet.sigma_x, 2.0 * packet.sigma_x)

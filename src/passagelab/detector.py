@@ -85,6 +85,8 @@ class ContinuumRates:
 def continuum_rates(bath: DiscreteBathSpec) -> ContinuumRates:
     """Closed-form A, delta_shift, tau_c of the dense-spectrum limit."""
     w0, wm, g = bath.omega_0, bath.omega_max, bath.coupling_g
+    if w0 <= 0.0:
+        raise ConfigError(f"continuum rates need omega_0 > 0, got {w0}")
     if wm <= w0:
         raise ConfigError(
             f"continuum rates need omega_max > omega_0, got {wm} <= {w0}"

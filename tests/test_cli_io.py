@@ -288,7 +288,7 @@ def test_passage_subcommand_toy(tmp_path, toy_yaml):
     assert res["entry_grid_size"] == 16
     # the SVD compression: kept rows and the dropped share of the power
     assert isinstance(res["kept_rank"], int) and 1 <= res["kept_rank"] <= 16
-    assert 0.0 <= res["discarded_power"] < 16 * 1e-12
+    assert 0.0 <= res["discarded_power"] < 16 * pl.ExperimentConfig.svd_keep
     assert (out / "passage.csv").is_file()
     assert any("tau grid captures" in w for w in doc["warnings"])
 
@@ -397,6 +397,23 @@ bath:
     assert res["decay_a_per_second"] > 0.0
     header = (out / "discrete_compare.csv").read_text().split("\n")[0]
     assert header == "x_meters,discrete_density_per_meter,continuum_density_per_meter"
+
+
+@pytest.mark.parametrize(
+    "bath, named",
+    [
+        # omega_max = omega_max_ratio x omega_0, so omega_0 = 0 fails on omega_max
+        ("{omega_0: 0}", "omega_max"),
+        ("{omega_0: -2.38e12, omega_max_ratio: -4.6}", "omega_0"),
+    ],
+)
+def test_discrete_compare_non_positive_omega_0_gives_exit_2(tmp_path, capsys, bath, named):
+    conf = tmp_path / "bath.yaml"
+    conf.write_text(f"bath: {bath}\n")
+    out = tmp_path / "cmp"
+    assert cli_io.main(["discrete-compare", "--config", str(conf), "--out", str(out)]) == 2
+    assert f"{named} " in capsys.readouterr().err
+    assert not (out / "discrete_compare.csv").exists()
 
 
 def test_weak_detector_warning_gives_exit_3(tmp_path, toy_yaml):

@@ -61,6 +61,15 @@ def test_continuum_rates_require_omega_max_above_omega_0():
         )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega_0", [0.0, -OMEGA_0])
+def test_continuum_rates_require_positive_omega_0(omega_0):
+    # 0 used to divide by zero and a negative value to warn from np.log
+    bath = pl.DiscreteBathSpec(n_modes=5, omega_max=OMEGA_M, coupling_g=G, omega_0=omega_0)
+    with pytest.raises(pl.ConfigError, match=f"need omega_0 > 0, got {omega_0}"):
+        pl.continuum_rates(bath)
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

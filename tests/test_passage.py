@@ -11,7 +11,7 @@ import passagelab as pl
 from passagelab import passage, propagator
 from passagelab.core import HBAR
 
-from conftest import toy_config
+from conftest import TOY_V0, toy_config
 
 
 def test_config_rejects_non_rectangular_profiles():
@@ -224,6 +224,38 @@ def test_svd_runs_on_the_nonzero_span(toy_run, monkeypatch):
     assert shapes[0][1] < cfg.grid.n_points
     assert 1 <= dist.kept_rank <= len(ens.states)
     assert 0.0 <= dist.discarded_power < len(ens.states) * cfg.svd_keep
+
+
+def test_truncation_lowers_g_by_at_most_the_discarded_power(toy_run, monkeypatch):
+    # the dropped rows add sum_i s_i^2 <v_i|P(tau)|v_i> dx >= 0 to G, and a unit
+    # row is detected with probability at most 1, up to stage 2's norm budget
+    cfg, ens = replace(toy_run["cfg"], dt2=1e-6), toy_run["ensemble"]
+    svd_keep = pl.ExperimentConfig.svd_keep
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.RegimeWarning)
+        cut = pl.passage_distribution(cfg, ens)
+        monkeypatch.setattr(pl.ExperimentConfig, "svd_keep", 0.0)
+        full = pl.passage_distribution(cfg, ens)
+    assert np.array_equal(cut.tau, full.tau)
+    assert full.kept_rank == len(ens.states)
+    assert cut.kept_rank < full.kept_rank
+    # each dropped row holds at most svd_keep of the power
+    assert 0.0 < cut.discarded_power < len(ens.states) * svd_keep
+    dropped = full.g_tau - cut.g_tau
+    assert np.all(dropped >= -1e-12 * np.max(full.g_tau))
+    # measured here: the integral is 0.937 of the bound, and a dropped unit
+    # row's |trapz(w1) + final norm^2 - 1| is at most 6.1e-3 at this stride
+    bound = cut.discarded_power * ens.captured_mass
+    assert 0.5 * bound <= np.trapezoid(dropped, cut.tau) <= bound * (1.0 + 1e-2)
+
+
+def test_auto_tau_max_needs_a_positive_velocity(toy_particle, toy_packet):
+    # t_start and t_end1 given, tau_max derived: v0 = 0 used to divide by zero
+    for v0 in (0.0, -TOY_V0):
+        packet = replace(toy_packet, mean_velocity_v0=v0)
+        cfg = toy_config(toy_particle, packet, t_start=0.0, t_end1=1e-3)
+        with pytest.raises(pl.ConfigError, match="tau_max needs a positive mean velocity"):
+            pl.passage_distribution(cfg)
 
 
 def test_off_detector_weight_matches_full_width_svd(toy_run):
