@@ -48,6 +48,7 @@ from .exceptions import ConfigError, ConvergenceError, PassageLabError, RegimeWa
 from .passage import (
     ExperimentConfig,
     _arrival_pass,
+    _detector1_start,
     _reset_row,
     arrival_stage,
     kijowski_distribution,
@@ -289,8 +290,14 @@ def _summary(out_dir: Path, name: str, conf: dict, payload: dict, warned: list[s
     return path
 
 
+def _arrival_grid_points(cfg: ExperimentConfig) -> int:
+    """Points of the grid detector 1's pass runs on: its box, or the grid."""
+    return _detector1_start(cfg)[1].grid.n_points
+
+
 def _cmd_arrival(conf: dict, out: Path, args: argparse.Namespace) -> dict:
-    record, _, _ = _arrival_pass(build_experiment(conf))  # the record alone
+    cfg = build_experiment(conf)
+    record, _, _ = _arrival_pass(cfg)  # the record alone
     _write_csv(
         out / "arrival.csv",
         ["t_seconds", "w1_per_second"],
@@ -301,6 +308,7 @@ def _cmd_arrival(conf: dict, out: Path, args: argparse.Namespace) -> dict:
         "detection_probability": float(record.cumulative_detected[-1]),
         "residual_norm": float(record.survival_p0[-1]),
         "samples": int(len(record.times)),
+        "arrival_grid_points": _arrival_grid_points(cfg),
     }
 
 
@@ -323,6 +331,7 @@ def _cmd_passage(conf: dict, out: Path, args: argparse.Namespace) -> dict:
         "entry_grid_size": int(len(ensemble.entry_times)),
         "kept_rank": dist.kept_rank,
         "discarded_power": dist.discarded_power,
+        "arrival_grid_points": _arrival_grid_points(cfg),
     }
 
 

@@ -159,16 +159,23 @@ def discrete_reset_density(
 
     def fill(t, scratch):
         """The block's rows, back-propagated, a sub-block at a time."""
-        rows, work, phase = scratch
+        rows, turns, work = scratch
         rows = rows[: len(t)]
+        # the sub-block's packet rows, then its phases, take turns in one
+        # buffer; both views are contiguous
+        free = turns[: sub * len(x_pos)].reshape(sub, -1)
+        phase = turns[: sub * (n // 2 + 1)].reshape(sub, -1)
         for r0 in range(0, len(t), sub):
             r, t_sub = rows[r0 : r0 + sub], t[r0 : r0 + sub]
             b = len(t_sub)
             # the set's last FFT wrote the columns x < 0 too
             r[:, :i0] = 0.0
+            # into contiguous rows, copied in once: numpy would buffer every
+            # in-place step of _free_packet on the strided r[:, i0:]
             _free_packet(
-                cfg.packet, particle, t_sub[:, None], x_terms, r[:, i0:], work[:, :b]
+                cfg.packet, particle, t_sub[:, None], x_terms, free[:b], work[:, :b]
             )
+            r[:, i0:] = free[:b]
             # back-propagate the projected slices to t=0 in momentum space
             np.fft.fft(r, axis=-1, out=r)
             _back_propagate(r, ikin, t_sub, phase[:b])
@@ -179,8 +186,8 @@ def discrete_reset_density(
     sets = [
         (
             np.empty((block, n), dtype=complex),
+            np.empty(sub * max(len(x_pos), n // 2 + 1), dtype=complex),
             np.empty((2, sub, len(x_pos))),
-            np.empty((sub, n // 2 + 1), dtype=complex),
         )
         for _ in range(max(1, min(_usable_cores(), len(blocks))))
     ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import erfc
+from math import ceil, erfc, log2
 from numbers import Integral
 from typing import ClassVar
 
@@ -31,12 +31,14 @@ from .core import (
     _block_rows,
     _check_count,
     _check_positive,
+    build_grid,
     free_sigma_x,
     gaussian_free_state,
 )
 from .detector import DetectorSpec
 from .exceptions import ConfigError, GridError, NoDetectionError, RegimeWarning
 from .propagator import (
+    ComplexPotentialField,
     DetectionRecord,
     _conditional,
     _evolve_rows,
@@ -59,6 +61,17 @@ _CAPTURE_TARGET = 0.999
 _MIN_DETECTION = 0.9
 # detection-probability quantiles spanned by the entry grid
 _ENTRY_WINDOW = (5e-4, 0.9995)
+# fixed-point steps _edge_crossing_time takes for t_end1 before it gives up,
+# and the steps it takes for t_start. t_start keeps the 12 it has always
+# taken: converging it would move the window's origin at slow, short sweep
+# points (by 3.6e-4 relative, 0.7 us, at 3 mm/s and d = 5 um), and with it
+# the entry-grid snapping that the half-step tests were measured on
+_CROSSING_STEPS = 10_000
+_START_STEPS = 12
+# detector 1's pass keeps the grid points within this many spreading widths
+# of the free packet's path: there its amplitude is 1.1e-7 of its peak and
+# the mass beyond is 6e-16 (the tail gate's 1e-10 sits at 6.4 widths)
+_BOX_WIDTHS = 8.0
 
 
 @dataclass(frozen=True)
@@ -139,16 +152,36 @@ def _edge_crossing_time(
     packet: GaussianPacketSpec, particle: ParticleSpec, edge: float, side: float
 ) -> float:
     """Time the packet centre is six spreading widths before (side = -1) or
-    past (side = +1) edge: the fixed point of t = (edge + side 6 sigma(t) - x0)/v0.
+    past (side = +1) edge: the fixed point of t = (edge + side 6 sigma(t) - x0)/v0,
+    iterated from sigma = sigma_x.
+
+    sigma(t) grows at up to sigma_v = hbar / (2 m sigma_x), so each step
+    moves t by at most 6 sigma_v / v0 times the last one; near 1 the steps
+    barely shrink, and past it there may be no crossing at all. t_end1
+    (side = +1) is iterated until it stops changing; when it has not within
+    _CROSSING_STEPS steps, a ConfigError names t_end1 and that ratio. t_start
+    (side = -1) takes _START_STEPS steps.
     """
     v0 = packet.mean_velocity_v0
     if v0 <= 0.0:
         raise ConfigError("auto t_start and t_end1 need a positive mean velocity")
     t = (edge + side * 6.0 * packet.sigma_x - packet.center_x0) / v0
-    for _ in range(12):
-        sig = free_sigma_x(packet, particle, t)
-        t = (edge + side * 6.0 * sig - packet.center_x0) / v0
-    return t
+    # a t that runs off to infinity overflows on its way and fails the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_CROSSING_STEPS if side > 0.0 else _START_STEPS):
+            sig = free_sigma_x(packet, particle, t)
+            last, t = t, (edge + side * 6.0 * sig - packet.center_x0) / v0
+            if t == last:
+                break
+        # rounding may leave t alternating between neighbouring floats
+        if side < 0.0 or abs(t - last) <= 4.0 * np.spacing(abs(last)):
+            return t
+    ratio = 6.0 * particle.hbar / (2.0 * particle.mass * packet.sigma_x) / v0
+    raise ConfigError(
+        f"auto t_end1 has not settled in {_CROSSING_STEPS} steps: the packet "
+        f"spreads at 6 sigma_v / v0 = {ratio:.3g} of its speed, so its centre may "
+        f"never be six widths past detector 1's edge at {edge} m; give t_end1"
+    )
 
 
 def _auto_tau_max(cfg: ExperimentConfig) -> float:
@@ -166,9 +199,52 @@ def _auto_tau_max(cfg: ExperimentConfig) -> float:
     return min(want, wrap)
 
 
-def _detector1_start(cfg: ExperimentConfig) -> tuple[_Kernel, WaveFunction, int]:
-    """Validate detector 1's window: its step kernel, the start state and the
-    number of steps that cross it."""
+def _arrival_box(
+    cfg: ExperimentConfig, t_start: float, t_end: float
+) -> tuple[SpatialGrid, int]:
+    """The grid detector 1's pass runs on, and the index in cfg.grid of its
+    first point.
+
+    The box is the smallest power-of-two run of cfg.grid's own points that
+    holds [lo, hi]: detector 1, widened by a cell so that rounding the box's
+    centre cannot cut its edge point, and the free packet's centre +- 8
+    spreading widths at t_start and t_end. The centre moves at v0 and the
+    width is convex in t, so the path's extremes over the window sit at its
+    ends. The box is centred on [lo, hi] and clamped to the grid; when it would
+    not be smaller than the grid, the grid itself is returned.
+    """
+    grid, packet, particle = cfg.grid, cfg.packet, cfg.particle
+    n, dx = grid.n_points, grid.dx
+    lo, hi = cfg.detector1.profile.a - dx, cfg.detector1.profile.b + dx
+    for t in (t_start, t_end):
+        centre = packet.center_x0 + packet.mean_velocity_v0 * t
+        reach = _BOX_WIDTHS * free_sigma_x(packet, particle, t)
+        lo, hi = min(lo, centre - reach), max(hi, centre + reach)
+    m = 2 ** ceil(log2((hi - lo) / dx))
+    if m >= n:
+        return grid, 0
+    j0 = min(max(round((0.5 * (lo + hi) - grid.x_min) / dx) - m // 2, 0), n - m)
+    return build_grid(grid.x_min + j0 * dx, grid.x_min + (j0 + m) * dx, m), j0
+
+
+def _detector1_start(
+    cfg: ExperimentConfig,
+) -> tuple[_Kernel, WaveFunction, int, slice]:
+    """Validate detector 1's window and set up its pass: the step kernel and
+    start state on the pass's grid, the number of steps that cross the
+    window, and the kernel's support in cfg.grid's indices.
+
+    The pass runs on `_arrival_box`'s run of the grid's points, which holds
+    detector 1 and the packet's path out to 8 spreading widths (2048 of the
+    8192 reference points, 512 of 1024 at the 3 mm/s sweep point), with dx
+    and dt kept. The box's potential is the grid's, cut to the box, so the
+    kernel's factors and the held slices have the grid's bits on detector
+    1's support, shifted by the box's offset. The packet is periodic on the
+    box instead of the grid; against the full grid this moves the reset
+    states by at most 1.8e-8 of their largest amplitude, G by 2.3e-9 of its
+    peak and std(G) by 4.1e-11 relative at the reference rates, and leaves
+    the entry times' bits and the kept ranks as they are.
+    """
     det1 = cfg.detector1
     if det1.decay_a == 0.0:
         raise NoDetectionError("detector 1 has A = 0: no detection")
@@ -188,8 +264,21 @@ def _detector1_start(cfg: ExperimentConfig) -> tuple[_Kernel, WaveFunction, int]
         raise NoDetectionError(
             f"detection window {t_end - t_start:.3e} s is shorter than one step"
         )
-    kernel = _kernel(grid, particle, det1.potential_field(grid), cfg.dt)
-    return kernel, gaussian_free_state(packet, particle, t_start, grid), n_steps
+    box, j0 = _arrival_box(cfg, t_start, t_end)
+    pot = det1.potential_field(grid)
+    on = slice(j0, j0 + box.n_points)
+    active = (pot.decay_rate != 0.0) | (pot.real_shift != 0.0)
+    # so the kernel's support is the grid's, offset by j0
+    if np.count_nonzero(active[on]) != np.count_nonzero(active):
+        raise GridError(f"detector 1 reaches outside its pass's box {on}")
+    kernel = _kernel(
+        box,
+        particle,
+        ComplexPotentialField(box, pot.decay_rate[on], pot.real_shift[on]),
+        cfg.dt,
+    )
+    support = slice(kernel.support.start + j0, kernel.support.stop + j0)
+    return kernel, gaussian_free_state(packet, particle, t_start, box), n_steps, support
 
 
 def _arrival_pass(
@@ -198,10 +287,10 @@ def _arrival_pass(
     """Propagate the packet across detector 1's window once.
 
     Returns the w1 record, the held conditional states (n_steps + 1, 1, n_held)
-    and detector 1's decay support; n_held is the support's length with hold,
-    else 0.
+    and detector 1's decay support in cfg.grid's indices; n_held is the
+    support's length with hold, else 0.
     """
-    kernel, psi0, n_steps = _detector1_start(cfg)
+    kernel, psi0, n_steps, support = _detector1_start(cfg)
     _, record, held = _conditional(kernel, psi0, n_steps, cfg.dt, hold)
     p_detected = float(record.cumulative_detected[-1])
     if p_detected <= 0.0:
@@ -213,7 +302,7 @@ def _arrival_pass(
             RegimeWarning,
             stacklevel=3,
         )
-    return record, held, kernel.support
+    return record, held, support
 
 
 def _entry_steps(cfg: ExperimentConfig, record: DetectionRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -245,10 +334,10 @@ def _reset_row(cfg: ExperimentConfig, at_time: float | None) -> tuple[float, np.
     steps, entry_times = _entry_steps(cfg, record)
     want = peak_time(record) if at_time is None else at_time
     i = int(np.argmin(np.abs(entry_times - want)))
-    kernel, psi0, _ = _detector1_start(cfg)
+    kernel, psi0, _, support = _detector1_start(cfg)
     step = int(steps[i])
     _, _, final = _evolve_rows(kernel, psi0.amplitudes[None, :], step, step)
-    row = _reset_states(cfg, kernel.support, final[:, kernel.support])[0]
+    row = _reset_states(cfg, support, final[:, kernel.support])[0]
     return float(entry_times[i]), row
 
 
@@ -258,10 +347,13 @@ def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble
     One pass records w1 and holds the conditional state on detector 1's decay
     support, where sqrt(A) chi is non-zero, at every step; the reset states
     are built from the held slices at the entry grid's steps, which sit on
-    detection-probability quantiles of the record. The held stack, dropped
-    before the states are allocated, costs n_steps x n_support x 16 B: 54.6 MB
-    at dt = 1e-6 on the reference grid (712 of 8192 points on detector 1),
-    27.8 MB at the 3 mm/s sweep point, growing as 1/dt. It pays off only when
+    detection-probability quantiles of the record. The pass runs on the box
+    `_detector1_start` picks (2048 of the 8192 reference points), and the
+    states are put back on cfg.grid, zero off the support. The held stack,
+    dropped before the states are allocated, costs n_steps x n_support x 16 B:
+    54.6 MB at dt = 1e-6 on the reference grid (712 of 8192 points on
+    detector 1), 27.8 MB at the 3 mm/s sweep point, growing as 1/dt. The box
+    leaves it as it is. It pays off only when
     every row is needed: a caller that needs the record alone runs
     `_arrival_pass` without hold, and one that needs a single row takes it
     from `_reset_row`, which picks its step with `_entry_steps`, holds no

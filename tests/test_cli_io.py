@@ -274,6 +274,20 @@ def test_arrival_subcommand_toy(tmp_path, toy_yaml):
     header, first = (out / "arrival.csv").read_text().split("\n")[:2]
     assert header == "t_seconds,w1_per_second"
     assert len(first.split(",")) == 2
+    # the packet's path spans about 705 of the 2048 points: a 1024-point box
+    assert res["arrival_grid_points"] == 1024
+
+
+def test_arrival_grid_points_is_the_grid_when_no_box_is_smaller(tmp_path):
+    # the same path on 2048 points over 200 um spans more than half of them
+    conf = yaml.safe_load(TOY_YAML)
+    conf["grid"]["x_max"] = "160 um"
+    p = tmp_path / "short.yaml"
+    p.write_text(yaml.safe_dump(conf))
+    out = tmp_path / "arr"
+    assert cli_io.main(["arrival", "--config", str(p), "--out", str(out)]) == 0
+    res = json.loads((out / "arrival_summary.json").read_text())["results"]
+    assert res["arrival_grid_points"] == 2048
 
 
 def test_passage_subcommand_toy(tmp_path, toy_yaml):
@@ -289,6 +303,7 @@ def test_passage_subcommand_toy(tmp_path, toy_yaml):
     # the SVD compression: kept rows and the dropped share of the power
     assert isinstance(res["kept_rank"], int) and 1 <= res["kept_rank"] <= 16
     assert 0.0 <= res["discarded_power"] < 16 * pl.ExperimentConfig.svd_keep
+    assert res["arrival_grid_points"] == 1024
     assert (out / "passage.csv").is_file()
     assert any("tau grid captures" in w for w in doc["warnings"])
 

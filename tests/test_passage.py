@@ -427,3 +427,169 @@ def test_classical_passage_rejects_negative_momentum_mass():
     slow = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=1e-6, mean_velocity_v0=0.02)
     with pytest.raises(pl.ConfigError):
         pl.classical_passage(slow, particle, 80e-6, np.linspace(1e-3, 9e-3, 100))
+
+
+# The toy study on a grid twice as long at the same dx: the packet's path
+# over detector 1's window spans less than half of it, so the arrival pass
+# runs on a box of 2048 of the 4096 points.
+def _boxed_config(toy_particle, toy_packet, cells=0):
+    """The long-grid toy config with the packet and both detectors moved by
+    whole cells of the grid."""
+    grid = pl.build_grid(-240e-6, 160e-6, 4096)
+    shift = cells * grid.dx
+
+    def detector(a):
+        return pl.DetectorSpec(
+            profile=pl.RectangularProfile(a + shift, a + 20e-6 + shift), decay_a=2e4
+        )
+
+    return toy_config(
+        toy_particle,
+        replace(toy_packet, center_x0=toy_packet.center_x0 + shift),
+        grid=grid,
+        detector1=detector(20e-6),
+        detector2=detector(100e-6),
+        dt2=1e-6,
+        tau_max=3.2e-3,
+    )
+
+
+def _run(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.RegimeWarning)
+        record, ensemble = pl.arrival_stage(cfg)
+        return record, ensemble, pl.passage_distribution(cfg, ensemble)
+
+
+def _box_offset(cfg):
+    """(box, j0): the grid detector 1's pass ran on and its offset in cfg.grid."""
+    kernel, psi0, _, support = passage._detector1_start(cfg)
+    return psi0.grid, support.start - kernel.support.start
+
+
+@pytest.fixture(scope="module")
+def boxed_run(toy_particle, toy_packet):
+    cfg = _boxed_config(toy_particle, toy_packet)
+    return cfg, *_run(cfg)
+
+
+def test_box_is_the_smallest_power_of_two_run_holding_the_path(boxed_run):
+    cfg, record, _, _ = boxed_run
+    grid, packet, dx = cfg.grid, cfg.packet, cfg.grid.dx
+    box, j0 = _box_offset(cfg)
+    m = box.n_points
+    assert m == 2048 and m & (m - 1) == 0
+    # the box's points are the grid's points j0 .. j0 + m - 1
+    assert np.allclose(box.x, grid.x[j0 : j0 + m], rtol=0.0, atol=1e-9 * dx)
+    assert box.dx == pytest.approx(dx, rel=1e-12)
+    # it holds detector 1 and the packet's centre +- 8 widths at both window
+    # ends, which half the box could not
+    t_end = passage._edge_crossing_time(packet, cfg.particle, 40e-6, 1.0)
+    lo, hi = [], []
+    for t in (record.times[0], t_end):
+        centre = packet.center_x0 + packet.mean_velocity_v0 * t
+        width = pl.free_sigma_x(packet, cfg.particle, t)
+        lo.append(centre - 8.0 * width)
+        hi.append(centre + 8.0 * width)
+    assert box.x_min <= min(lo) and max(hi) <= box.x_max
+    assert max(hi) - min(lo) > m // 2 * dx
+    on = np.flatnonzero(cfg.detector1.profile.chi(grid))
+    assert j0 <= on[0] and on[-1] < j0 + m
+    kernel, _, _, support = passage._detector1_start(cfg)
+    assert support == slice(on[0], on[-1] + 1)
+    assert kernel.support == slice(on[0] - j0, on[-1] + 1 - j0)
+
+
+def test_boxed_pass_matches_the_full_grid(boxed_run):
+    # the record and the reset rows against evolve_conditional on all 4096 points
+    cfg, record, ens, _ = boxed_run
+    det1 = cfg.detector1
+    pot = det1.potential_field(cfg.grid)
+    psi0 = pl.gaussian_free_state(cfg.packet, cfg.particle, record.times[0], cfg.grid)
+    _, full = pl.evolve_conditional(psi0, pot, cfg.particle, record.times[-1], cfg.dt)
+    assert np.array_equal(full.times, record.times)
+    w1_max = np.max(full.density_w1)
+    assert np.max(np.abs(record.density_w1 - full.density_w1)) <= 1e-9 * w1_max
+    assert np.max(np.abs(record.survival_p0 - full.survival_p0)) <= 1e-9
+    for i in (0, len(ens.entry_times) // 2, len(ens.entry_times) - 1):
+        psi, _ = pl.evolve_conditional(psi0, pot, cfg.particle, ens.entry_times[i], cfg.dt)
+        want = pl.reset(psi, det1).amplitudes
+        assert np.max(np.abs(ens.states[i] - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+def test_boxed_rows_are_reset_conditional_states_on_the_box(boxed_run):
+    # bit for bit: the pass is evolve_conditional on the box, embedded at j0
+    cfg, record, ens, _ = boxed_run
+    det1 = cfg.detector1
+    box, j0 = _box_offset(cfg)
+    on = slice(j0, j0 + box.n_points)
+    assert np.array_equal(det1.profile.chi(box), det1.profile.chi(cfg.grid)[on])
+    pot = det1.potential_field(box)
+    psi0 = pl.gaussian_free_state(cfg.packet, cfg.particle, record.times[0], box)
+    for i in (0, len(ens.entry_times) // 2, len(ens.entry_times) - 1):
+        psi, _ = pl.evolve_conditional(psi0, pot, cfg.particle, ens.entry_times[i], cfg.dt)
+        row = np.zeros(cfg.grid.n_points, dtype=complex)
+        row[on] = pl.reset(psi, det1).amplitudes
+        assert np.array_equal(ens.states[i], row)
+
+
+def test_boxed_reset_row_is_the_ensemble_row(boxed_run):
+    cfg, _, ens, _ = boxed_run
+    for at_time in (None, float(ens.entry_times[5])):
+        t_used, row = passage._reset_row(cfg, at_time)
+        (i,) = np.flatnonzero(ens.entry_times == t_used)
+        assert row.tobytes() == ens.states[i].tobytes()
+
+
+@pytest.mark.parametrize("cells", [64, -300])
+def test_whole_cell_shift_moves_the_box_by_as_many_cells(
+    boxed_run, toy_particle, toy_packet, cells
+):
+    cfg, _, _, base = boxed_run
+    shifted = _boxed_config(toy_particle, toy_packet, cells)
+    assert _box_offset(shifted)[1] == _box_offset(cfg)[1] + cells
+    _, _, dist = _run(shifted)
+    assert np.array_equal(dist.tau, base.tau)
+    assert np.max(np.abs(dist.g_tau - base.g_tau)) <= 1e-12 * np.max(base.g_tau)
+
+
+def test_pass_runs_on_the_grid_when_the_path_exceeds_half_of_it(toy_run):
+    # the toy's path spans more than 1024 of its 2048 points: no box, and the
+    # record has the bits of evolve_conditional on the grid
+    cfg, record = toy_run["cfg"], toy_run["record"]
+    box, j0 = _box_offset(cfg)
+    assert (box, j0) == (cfg.grid, 0)
+    psi0 = pl.gaussian_free_state(cfg.packet, cfg.particle, record.times[0], cfg.grid)
+    pot = cfg.detector1.potential_field(cfg.grid)
+    _, full = pl.evolve_conditional(psi0, pot, cfg.particle, record.times[-1], cfg.dt)
+    for name in ("times", "survival_p0", "density_w1", "cumulative_detected"):
+        assert getattr(record, name).tobytes() == getattr(full, name).tobytes()
+
+
+def _crossing_step(packet, particle, edge, t):
+    """One step of the fixed-point map whose fixed point is t_end1."""
+    sigma = pl.free_sigma_x(packet, particle, t)
+    return (edge + 6.0 * sigma - packet.center_x0) / packet.mean_velocity_v0
+
+
+def test_auto_end_time_is_a_fixed_point(toy_particle, toy_packet):
+    # at 6 sigma_v / v0 = 0.79 twelve steps left t_end1 8.5e-5 s short of it
+    packet = replace(toy_packet, mean_velocity_v0=0.02)
+    t = passage._edge_crossing_time(packet, toy_particle, 40e-6, 1.0)
+    assert abs(_crossing_step(packet, toy_particle, 40e-6, t) - t) <= 4 * np.spacing(t)
+    twelve = 40e-6 / 0.02
+    for _ in range(12):
+        twelve = _crossing_step(packet, toy_particle, 40e-6, twelve)
+    assert t - twelve > 5e-5
+
+
+@pytest.mark.parametrize("v0, ratio", [(0.015, "1.05"), (0.01, "1.58")])
+def test_auto_end_time_without_a_crossing_raises(toy_particle, toy_packet, v0, ratio):
+    # the packet spreads faster than its centre moves away from the edge; the
+    # old loop returned 0.05 s and 2.98 s. The pass itself is never run.
+    packet = replace(toy_packet, mean_velocity_v0=v0)
+    message = f"t_end1 has not settled.*6 sigma_v / v0 = {ratio}"
+    with pytest.raises(pl.ConfigError, match=message):
+        passage._edge_crossing_time(packet, toy_particle, 40e-6, 1.0)
+    with pytest.raises(pl.ConfigError, match=message):
+        passage._detector1_start(toy_config(toy_particle, packet))
