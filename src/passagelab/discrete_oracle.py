@@ -5,24 +5,18 @@ The detected-state density after one observation window delta_t is
     rho(x) = sum_l |g_l S_l(x)|^2 / delta_t,
     S_l(x) = int_0^delta_t dt e^{i(w_l-w0)t} [U(delta_t-t) Theta U(t) psi](x),
 
-with U free propagation and Theta the projector onto x >= 0. The quadrature
-accumulates in momentum space, a block of time nodes at a time: the closed-form
-packet on the grid points x >= 0 for every node of the block, a batched FFT,
-the back-propagation phase, and one (modes x nodes) @ (nodes x points)
-product into the accumulator. One inverse FFT per mode follows at the end.
-The phase depends on |k| alone and the grid's k is exactly antisymmetric,
-k[n - j] == -k[j], so it is exponentiated on the first n // 2 + 1 columns and
-the other columns multiply by its mirror image: the same bits, half the
-complex exponentials.
+with U free propagation and Theta the projector onto x >= 0. In momentum space
+the integrand is e^{i(w_l-w0)t} U(delta_t) G(t), with G(t) = e^{i kin t}
+FFT[Theta psi(t)] the projected packet back-propagated to t = 0, and the
+integral is a trapezoid sum over n_time_samples nodes. G is an entire function
+of t that varies slowly over the window, so the sum runs on its interpolant
+through a few dozen Chebyshev-Lobatto nodes (Trefethen, Approximation Theory
+and Approximation Practice, SIAM 2013, ch. 8): one (modes x nodes) @
+(nodes x points) product, then one inverse FFT per mode.
 
-Every node passes the tail gate first, in the calling thread. The blocks then
-run through propagator._in_order on the shared pool, one per usable core, each
-in a scratch set the calling thread allocated; the calling thread takes them
-back in block order and does the product and the sum. A row's packet, FFT and
-phase do not depend on the rows beside it, and the blocks depend on the grid
-size alone and hold at most 64 nodes, so every product has the same shape and
-sums in the same order: the output is bit-for-bit the same for any number of
-cores and any BLAS thread count.
+Every product sums at most _MAX_BLOCK_NODES terms at a time, in a fixed order,
+so the output is bit-for-bit the same on any BLAS thread count. The oracle
+runs in the calling thread.
 """
 from __future__ import annotations
 
@@ -44,7 +38,6 @@ from .core import (
 )
 from .detector import DiscreteBathSpec
 from .exceptions import ConfigError, ZeroNormError
-from .propagator import _in_order, _usable_cores
 
 __all__ = [
     "DiscreteResetConfig",
@@ -56,13 +49,15 @@ __all__ = [
 ]
 
 _MIN_SAMPLES_PER_PERIOD = 20
-# nodes per block: the shared byte budget, but at most 64. OpenBLAS sums an
-# inner dimension above 128 in a different order on one thread than on
-# several, and the accumulated density would then depend on the thread count.
+# the most terms one product sums. OpenBLAS sums an inner dimension above 128
+# in a different order on one thread than on several, and the accumulated
+# density would then depend on the thread count.
 _MAX_BLOCK_NODES = 64
-# a block's packet, FFT and phase run this many rows at a time, in cache;
-# the FFT loses its batching below about four rows
-_SUB_ROWS = 8
+# the interpolation rule's first node count, its most nodes, and its
+# tolerance on the predicted nodes relative to max |G|
+_FIRST_NODES = 17
+_MAX_NODES = 257
+_INTERP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ class DiscreteResetConfig:
         # at least the trapezoid's two nodes
         _check_count("n_time_samples", self.n_time_samples, 2)
         # fastest phase in the quadrature integrand
-        fastest = abs(self.bath.omega_max - self.bath.omega_0)
+        fastest = np.max(np.abs(self.bath.mode_frequencies() - self.bath.omega_0))
         periods = fastest * self.delta_t / (2.0 * np.pi)
         if periods > 0 and self.n_time_samples < _MIN_SAMPLES_PER_PERIOD * periods:
             raise ConfigError(
@@ -111,37 +106,77 @@ class ComparisonMetrics:
     exclusion: tuple[float, float]
 
 
-def _back_propagate(
-    phi: np.ndarray, ikin: np.ndarray, t: np.ndarray, phase: np.ndarray
-) -> None:
-    """phi[i] *= exp(i kin_phase t[i]) in place, one exponential per |k|.
+def _chebyshev_times(n_nodes: int, delta_t: float) -> np.ndarray:
+    """n_nodes Chebyshev-Lobatto nodes on [0, delta_t], from delta_t down to 0:
+    every other node of 2 n_nodes - 1, with the same bits."""
+    return 0.5 * delta_t * (1.0 + np.cos(np.pi * np.arange(n_nodes) / (n_nodes - 1)))
 
-    ikin is 1j * kin_phase[:n // 2 + 1]: kin_phase is even on the grid's k,
-    kin_phase[n - j] == kin_phase[j], so columns n // 2 + 1.. multiply by the
-    mirror image of the first half. The exponentials go into phase,
-    (len(t), n // 2 + 1).
-    """
-    n = phi.shape[-1]
-    half = n // 2 + 1
-    np.multiply(ikin, t[:, None], out=phase)
-    np.exp(phase, out=phase)
-    phi[:, :half] *= phase
-    phi[:, half:] *= phase[:, n - half : 0 : -1]
+
+def _lagrange_rows(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """L_c(t_j), (len(t), len(nodes)): the Lagrange basis of the
+    Chebyshev-Lobatto nodes at the times t, in the barycentric form (Berrut &
+    Trefethen, SIAM Rev. 46, 501, 2004). A time on a node gets its unit row."""
+    lam = (-1.0) ** np.arange(len(nodes))
+    lam[[0, -1]] *= 0.5
+    d = t[:, None] - nodes
+    on = d == 0.0
+    rows = lam / np.where(on, 1.0, d)
+    rows /= np.sum(rows, axis=1, keepdims=True)
+    hit = np.any(on, axis=1)
+    rows[hit] = on[hit]
+    return rows
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, summed over chunks of at most _MAX_BLOCK_NODES inner terms in
+    a fixed order."""
+    out = a[:, :_MAX_BLOCK_NODES] @ b[:_MAX_BLOCK_NODES]
+    for start in range(_MAX_BLOCK_NODES, a.shape[1], _MAX_BLOCK_NODES):
+        out += a[:, start : start + _MAX_BLOCK_NODES] @ b[start : start + _MAX_BLOCK_NODES]
+    return out
+
+
+def _interpolation_nodes(back_propagated, delta_t: float, nt: int):
+    """(nodes, G at the nodes) by the rule of discrete_reset_density, or
+    (None, None) where it falls back to the trapezoid's nt nodes."""
+    g = None
+    size = 2 * _FIRST_NODES - 1
+    while size < nt and size <= _MAX_NODES:
+        nodes = _chebyshev_times(size, delta_t)
+        if g is None:
+            g = back_propagated(nodes[::2])
+        fresh = back_propagated(nodes[1::2])
+        predicted = _product(_lagrange_rows(nodes[1::2], nodes[::2]), g)
+        residual = np.max(np.abs(predicted - fresh))
+        g = np.insert(g, range(1, len(g)), fresh, axis=0)  # the nodes' order
+        if residual <= _INTERP_TOL * np.max(np.abs(g)):
+            return nodes, g
+        size = 2 * size - 1
+    return None, None
 
 
 def discrete_reset_density(
     cfg: DiscreteResetConfig, grid: SpatialGrid, particle: ParticleSpec
 ) -> DensityProfile:
-    """Detected-state density of the N-mode model, per unit observation window."""
+    """Detected-state density of the N-mode model, per unit observation window.
+
+    The trapezoid sum over the n_time_samples nodes t_j runs on P_C, the
+    interpolant of G at C Chebyshev-Lobatto nodes t_c: acc = M @ G(t_c), with
+    M[l, c] = sum_j w_j e^{i dw_l t_j} L_c(t_j). C starts at 17. Each round
+    evaluates G at the C - 1 nodes between the current ones, predicts them
+    with P_C, and stops once max |predicted - direct| <= 1e-12 max |G|,
+    keeping all 2C - 1 nodes. If the next round would need n_time_samples
+    nodes or more, or more than 257, the sum runs on G at the trapezoid nodes
+    themselves: the direct quadrature. The weights sum to delta_t and
+    |e^{i dw_l t}| = 1, so |delta acc| <= delta_t max_t |G - P_C|; the check's
+    residual estimates that maximum, and the 2C - 1 nodes kept are closer.
+    """
     bath = cfg.bath
-    hb, m = particle.hbar, particle.mass
     dw = bath.mode_frequencies() - bath.omega_0
-    g_sq = bath.coupling_sq()
-    k = grid.k
     n = grid.n_points
     nt = cfg.n_time_samples
     ts = np.linspace(0.0, cfg.delta_t, nt)
-    # every node passes the tail gate before any block starts
+    # every node passes the tail gate before any packet is evaluated
     for t_node in ts:
         _tail_gate(cfg.packet, particle, t_node, grid)
     # Theta keeps the tail x[i0:] of the grid; the other columns stay zero
@@ -150,59 +185,32 @@ def discrete_reset_density(
     weights = np.full(nt, cfg.delta_t / (nt - 1))
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    kin_phase = hb * k * k / (2.0 * m)
-    # the blocks' time-independent factors, computed once here
-    ikin = 1j * kin_phase[: n // 2 + 1]
+    kin_phase = particle.hbar * grid.k * grid.k / (2.0 * particle.mass)
     x_terms = _packet_x_terms(cfg.packet, particle, x_pos)
-    block = min(_block_rows(n), _MAX_BLOCK_NODES, nt)
-    sub = min(block, _SUB_ROWS)
 
-    def fill(t, scratch):
-        """The block's rows, back-propagated, a sub-block at a time."""
-        rows, turns, work = scratch
-        rows = rows[: len(t)]
-        # the sub-block's packet rows, then its phases, take turns in one
-        # buffer; both views are contiguous
-        free = turns[: sub * len(x_pos)].reshape(sub, -1)
-        phase = turns[: sub * (n // 2 + 1)].reshape(sub, -1)
-        for r0 in range(0, len(t), sub):
-            r, t_sub = rows[r0 : r0 + sub], t[r0 : r0 + sub]
-            b = len(t_sub)
-            # the set's last FFT wrote the columns x < 0 too
-            r[:, :i0] = 0.0
-            # into contiguous rows, copied in once: numpy would buffer every
-            # in-place step of _free_packet on the strided r[:, i0:]
-            _free_packet(
-                cfg.packet, particle, t_sub[:, None], x_terms, free[:b], work[:, :b]
-            )
-            r[:, i0:] = free[:b]
-            # back-propagate the projected slices to t=0 in momentum space
-            np.fft.fft(r, axis=-1, out=r)
-            _back_propagate(r, ikin, t_sub, phase[:b])
+    def back_propagated(t: np.ndarray) -> np.ndarray:
+        """G at the times t, one row each: FFT[Theta psi(t)] e^{i kin t}."""
+        rows = np.zeros((len(t), n), dtype=complex)
+        work = np.empty((2, len(t), len(x_pos)))
+        _free_packet(cfg.packet, particle, t[:, None], x_terms, rows[:, i0:], work)
+        np.fft.fft(rows, axis=-1, out=rows)
+        rows *= np.exp(1j * kin_phase * t[:, None])
         return rows
 
-    blocks = [ts[start : start + block] for start in range(0, nt, block)]
-    # the scratch sets are allocated here, not in the pool threads
-    sets = [
-        (
-            np.empty((block, n), dtype=complex),
-            np.empty(sub * max(len(x_pos), n // 2 + 1), dtype=complex),
-            np.empty((2, sub, len(x_pos))),
-        )
-        for _ in range(max(1, min(_usable_cores(), len(blocks))))
-    ]
-    acc = np.zeros((bath.n_modes, n), dtype=complex)
-    prod = np.empty_like(acc)
-    for i, phi in enumerate(_in_order(fill, blocks, sets)):
-        start = i * block
-        coeff = weights[start : start + block] * np.exp(1j * dw[:, None] * blocks[i])
-        np.matmul(coeff, phi, out=prod)
-        acc += prod
-    # free the scratch before the inverse FFT and the moduli allocate theirs
-    del sets, prod, phi
+    nodes, g = _interpolation_nodes(back_propagated, cfg.delta_t, nt)
+    # the trapezoid in chunks of nodes: into M, or the direct sum into acc
+    acc = np.zeros((bath.n_modes, n if nodes is None else len(nodes)), dtype=complex)
+    block = min(_block_rows(n), _MAX_BLOCK_NODES)
+    for start in range(0, nt, block):
+        t = ts[start : start + block]
+        coeff = weights[start : start + block] * np.exp(1j * dw[:, None] * t)
+        acc += coeff @ (back_propagated(t) if nodes is None else _lagrange_rows(t, nodes))
+    if nodes is not None:
+        acc = _product(acc, g)
+    del g
     acc *= np.exp(-1j * kin_phase * cfg.delta_t)[None, :]
     s_l = np.fft.ifft(acc, axis=-1)
-    dens = np.tensordot(g_sq, np.abs(s_l) ** 2, axes=(0, 0)) / cfg.delta_t
+    dens = np.tensordot(bath.coupling_sq(), np.abs(s_l) ** 2, axes=(0, 0)) / cfg.delta_t
     norm = float(np.sum(dens) * grid.dx)
     return DensityProfile(grid=grid, values=dens, normalization=norm)
 

@@ -9,8 +9,8 @@ the shift is non-zero, so the batched kernel multiplies on that span only.
 A sample takes only the moduli of the closed state; squares, sums and the
 finiteness check run once per block of samples, with the same bits as one
 sample at a time.
-Stage 2's row chunks and the discrete oracle's node blocks run on one shared
-thread pool through one runner, _in_order, which returns them in order.
+Stage 2's row chunks run on a shared thread pool, one task per chunk,
+through _in_order, which returns them in order.
 """
 from __future__ import annotations
 
@@ -113,28 +113,20 @@ def _pool() -> ThreadPoolExecutor:
         return _POOL
 
 
-def _in_order(fill, blocks, sets):
-    """Yield fill(blocks[i], set) for each block, in block order.
+def _in_order(run, chunks):
+    """[run(chunk) for chunk in chunks], one task per chunk on the shared
+    pool, or in the calling thread for one chunk.
 
-    With one set the calling thread runs every block. With more, the blocks
-    run on the shared pool, block i on sets[i % len(sets)]. A set goes back
-    to the pool, for the block len(sets) further on, when the caller asks for
-    the next block. No task waits on another, so callers may share the pool.
-    A failed block cancels the queued ones and waits for the running ones
-    before its error propagates.
+    No task waits on another, so callers may share the pool. A failed chunk
+    cancels the queued ones and waits for the running ones before its error
+    propagates.
     """
-    n = len(sets)
-    if n == 1:
-        for t in blocks:
-            yield fill(t, sets[0])
-        return
+    if len(chunks) == 1:
+        return [run(chunks[0])]
     pool = _pool()
-    futures = [pool.submit(fill, blocks[i], sets[i]) for i in range(n)]
+    futures = [pool.submit(run, chunk) for chunk in chunks]
     try:
-        for i in range(len(blocks)):
-            yield futures[i % n].result()
-            if i + n < len(blocks):
-                futures[i % n] = pool.submit(fill, blocks[i + n], sets[i % n])
+        return [future.result() for future in futures]
     finally:
         for future in futures:
             future.cancel()
@@ -292,8 +284,8 @@ def _evolve_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evolve independent rows on the usable cores; (steps, w1 rows, final rows).
 
-    The rows are split into contiguous chunks, one per core, run as the
-    blocks of _in_order. Every chunk's arrays are allocated here, in the
+    The rows are split into contiguous chunks, one per core, run by
+    _in_order. Every chunk's arrays are allocated here, in the
     calling thread. Because the kernel's per-row results do not depend on
     the batch, the output is the same for any number of chunks. Samples
     read the kernel's span only; the final rows are the closed states at
@@ -304,7 +296,7 @@ def _evolve_rows(
         _Batch(kernel, c, n_steps, sample_stride, norms=False)
         for c in np.array_split(rows, n_chunks)
     ]
-    list(_in_order(lambda batch, _: _evolve_batch(kernel, batch), batches, batches))
+    _in_order(lambda batch: _evolve_batch(kernel, batch), batches)
     steps, w1 = batches[0].steps, np.concatenate([b.w1 for b in batches])
     final = [b.amps for b in batches]
     del batches  # free the FFT and sample buffers before the rows are joined

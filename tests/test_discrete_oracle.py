@@ -3,8 +3,6 @@ and against the continuum profile."""
 import os
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,9 +10,9 @@ import numpy as np
 import pytest
 
 import passagelab as pl
-from passagelab import discrete_oracle
-from passagelab.core import _block_rows, _free_packet, _packet_x_terms, _tail_gate
-from passagelab.discrete_oracle import _MAX_BLOCK_NODES, _back_propagate
+from passagelab import discrete_oracle, propagator
+from passagelab.core import _block_rows, _tail_gate
+from passagelab.discrete_oracle import _MAX_BLOCK_NODES
 
 OMEGA_0 = 2.38e12
 OMEGA_M = 4.6 * OMEGA_0
@@ -202,40 +200,6 @@ def test_blocked_oracle_matches_per_node_loop(x_span, center):
     assert np.max(np.abs(blocked - ref)) <= 1e-12 * np.max(ref)
 
 
-@pytest.mark.parametrize("n_points", [2, 512, 4096])
-def test_mirrored_phase_is_the_full_width_phase(n_points):
-    particle, _, grid = _setup(n_points)
-    kin_phase = particle.hbar * grid.k**2 / (2.0 * particle.mass)
-    t = np.linspace(0.0, DELTA_T, 8192)[-_MAX_BLOCK_NODES:]
-    full = np.exp(1j * kin_phase * t[:, None])
-    ikin = 1j * kin_phase[: n_points // 2 + 1]
-    phase = np.ones((len(t), n_points), dtype=complex)
-    exps = np.empty((len(t), n_points // 2 + 1), dtype=complex)
-    _back_propagate(phase, ikin, t, exps)
-    assert phase.tobytes() == full.tobytes()
-    rng = np.random.default_rng(n_points)
-    phi = rng.normal(size=phase.shape) + 1j * rng.normal(size=phase.shape)
-    mirrored = phi.copy()
-    _back_propagate(mirrored, ikin, t, exps)
-    assert mirrored.tobytes() == (phi * full).tobytes()
-
-
-def test_density_bytes_match_full_width_phase(monkeypatch):
-    particle, packet, grid = _setup(n_points=512)
-    cfg = pl.DiscreteResetConfig(
-        bath=_bath(5), packet=packet, delta_t=DELTA_T, n_time_samples=2048
-    )
-    mirrored = pl.discrete_reset_density(cfg, grid, particle).values
-    kin_phase = particle.hbar * grid.k * grid.k / (2.0 * particle.mass)
-
-    def full_width(phi, ikin, t, phase):
-        phi *= np.exp(1j * kin_phase * t[:, None])
-
-    monkeypatch.setattr(discrete_oracle, "_back_propagate", full_width)
-    reference = pl.discrete_reset_density(cfg, grid, particle).values
-    assert mirrored.tobytes() == reference.tobytes()
-
-
 def test_packet_leaving_grid_late_in_window_raises():
     # inside the grid at t=0 (tail 1e-12) but 1.7 sigma further right by
     # delta_t, past the 1e-10 tail gate about 40% into the window
@@ -250,39 +214,6 @@ def test_packet_leaving_grid_late_in_window_raises():
         pl.discrete_reset_density(cfg, grid, particle)
 
 
-def _whole_block_density(cfg, grid, particle):
-    """The quadrature a whole block at a time in the calling thread: the
-    packet at every node of the block, one FFT, the phase, one product."""
-    bath = cfg.bath
-    hb, m = particle.hbar, particle.mass
-    dw = bath.mode_frequencies() - bath.omega_0
-    i0 = int(np.searchsorted(grid.x, 0.0))
-    nt = cfg.n_time_samples
-    ts = np.linspace(0.0, cfg.delta_t, nt)
-    weights = np.full(nt, cfg.delta_t / (nt - 1))
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    acc = np.zeros((bath.n_modes, grid.n_points), dtype=complex)
-    kin_phase = hb * grid.k * grid.k / (2.0 * m)
-    block = min(_block_rows(grid.n_points), _MAX_BLOCK_NODES)
-    for start in range(0, nt, block):
-        t = ts[start : start + block]
-        rows = np.zeros((len(t), grid.n_points), dtype=complex)
-        x_terms = _packet_x_terms(cfg.packet, particle, grid.x[i0:])
-        work = np.empty((2, len(t), grid.n_points - i0))
-        _free_packet(cfg.packet, particle, t[:, None], x_terms, rows[:, i0:], work)
-        phi = np.fft.fft(rows, axis=-1)
-        phi *= np.exp(1j * kin_phase * t[:, None])
-        acc += weights[start : start + block] * np.exp(1j * dw[:, None] * t) @ phi
-    acc *= np.exp(-1j * kin_phase * cfg.delta_t)[None, :]
-    s_l = np.fft.ifft(acc, axis=-1)
-    return np.tensordot(bath.coupling_sq(), np.abs(s_l) ** 2, axes=(0, 0)) / cfg.delta_t
-
-
-# nodes per block on the 512-point grid of _cores_setup
-_BLOCK_512 = min(_block_rows(512), _MAX_BLOCK_NODES)
-
-
 def _cores_setup(n_modes, n_time_samples):
     particle = pl.cesium()
     packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=50e-9, mean_velocity_v0=1.79)
@@ -295,19 +226,23 @@ def _cores_setup(n_modes, n_time_samples):
 
 @pytest.mark.parametrize("n_modes", [15, 60])
 def test_density_bytes_same_for_any_core_count(n_modes, monkeypatch):
-    # four whole blocks of 64 nodes and a last one of 21, whose last
-    # sub-block is partial too
-    cfg, grid, particle = _cores_setup(n_modes, 4 * _BLOCK_512 + 21)
-    ref = _whole_block_density(cfg, grid, particle).tobytes()
+    # the oracle runs in the calling thread: the usable cores, which size the
+    # shared pool, do not change its bytes, and a trapezoid of 4 chunks of
+    # 64 nodes and one of 21 stays within 1e-12 of the per-node loop
+    cfg, grid, particle = _cores_setup(n_modes, 4 * _MAX_BLOCK_NODES + 21)
+    out = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(discrete_oracle, "_usable_cores", lambda: cores)
-        assert pl.discrete_reset_density(cfg, grid, particle).values.tobytes() == ref
+        monkeypatch.setattr(propagator, "_usable_cores", lambda: cores)
+        out.append(pl.discrete_reset_density(cfg, grid, particle).values)
+    assert all(o.tobytes() == out[0].tobytes() for o in out[1:])
+    ref = _per_node_density(cfg, grid, particle)
+    assert np.max(np.abs(out[0] - ref)) <= 1e-12 * np.max(ref)
 
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_late_grid_error_raised_before_any_block(cores, monkeypatch):
-    # the tail gate runs over every node in the calling thread first: the
-    # error is the first failing node's, as in one thread, and no block starts
+    # the tail gate runs over every trapezoid node first: the error is the
+    # first failing node's, and no packet is evaluated
     particle = pl.cesium()
     packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=50e-9, mean_velocity_v0=2e3)
     grid = pl.build_grid(-0.6e-6, 7 * packet.sigma_x, 1024)
@@ -323,7 +258,7 @@ def test_late_grid_error_raised_before_any_block(cores, monkeypatch):
             break
     assert first_failure is not None
     calls = []
-    monkeypatch.setattr(discrete_oracle, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(propagator, "_usable_cores", lambda: cores)
     monkeypatch.setattr(discrete_oracle, "_free_packet", lambda *a: calls.append(a))
     with pytest.raises(pl.GridTooNarrowError) as err:
         pl.discrete_reset_density(cfg, grid, particle)
@@ -331,86 +266,76 @@ def test_late_grid_error_raised_before_any_block(cores, monkeypatch):
     assert calls == []
 
 
-class _BlockFailed(Exception):
-    pass
+# a bath 10^4 times slower than the paper's, so that a window hundreds of
+# times longer needs only hundreds of trapezoid nodes; kin_max on the
+# 1024-point grid is 1.7e9 / s
+_SLOW_BATH = pl.DiscreteBathSpec(
+    n_modes=15, omega_max=OMEGA_M / 1e4, coupling_g=G, omega_0=OMEGA_0 / 1e4
+)
 
 
-@pytest.mark.parametrize("cores", [2, 3])
-def test_failed_block_propagates_and_the_pool_recovers(cores, monkeypatch):
-    # block 2 of 4 raises while the others run slowly: the error reaches the
-    # caller after every started block has stopped, and the next call on
-    # the same pool gives the right bytes
-    block = _BLOCK_512
-    cfg, grid, particle = _cores_setup(15, 4 * block)
-    ref = _whole_block_density(cfg, grid, particle).tobytes()
-    ts = np.linspace(0.0, cfg.delta_t, cfg.n_time_samples)
-    free_packet = discrete_oracle._free_packet
-    calls = []
+def _interpolated(monkeypatch, delta_t, n_time_samples):
+    """(oracle density, per-node density, the node counts the rule used:
+    [] on the trapezoid fallback)."""
+    particle = pl.cesium()
+    # k0 = 1e9 / m, inside the grid's band of 2.7e9 / m
+    packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=50e-9, mean_velocity_v0=0.5)
+    grid = pl.build_grid(-0.6e-6, 0.6e-6, 1024)
+    cfg = pl.DiscreteResetConfig(
+        bath=_SLOW_BATH, packet=packet, delta_t=delta_t, n_time_samples=n_time_samples
+    )
+    rule = discrete_oracle._interpolation_nodes
+    used = []
 
-    def failing(packet, particle, t, *args):
-        calls.append(time.perf_counter())
-        if block <= np.searchsorted(ts, t[0, 0]) < 2 * block:
-            raise _BlockFailed("block 2 of 4")
-        time.sleep(0.01)
-        return free_packet(packet, particle, t, *args)
+    def spy(*args):
+        nodes, g = rule(*args)
+        used.extend([] if nodes is None else [len(nodes)])
+        return nodes, g
 
-    def call_in_thread():
-        """(density or error, when it returned); a deadlocked call fails the
-        test instead of hanging it."""
-        outcome = []
-
-        def run():
-            try:
-                result = pl.discrete_reset_density(cfg, grid, particle)
-            except Exception as exc:  # handed to the test thread
-                result = exc
-            outcome.append((result, time.perf_counter()))
-
-        caller = threading.Thread(target=run, daemon=True)
-        caller.start()
-        caller.join(timeout=60.0)
-        assert outcome, "the density call did not return"
-        return outcome[0]
-
-    monkeypatch.setattr(discrete_oracle, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(discrete_oracle, "_free_packet", failing)
-    err, returned = call_in_thread()
-    assert isinstance(err, _BlockFailed)
-    time.sleep(0.1)
-    assert max(calls) < returned
-    monkeypatch.setattr(discrete_oracle, "_free_packet", free_packet)
-    assert call_in_thread()[0].values.tobytes() == ref
+    monkeypatch.setattr(discrete_oracle, "_interpolation_nodes", spy)
+    dens = pl.discrete_reset_density(cfg, grid, particle).values
+    return dens, _per_node_density(cfg, grid, particle), used
 
 
-def test_concurrent_callers_share_the_pool(monkeypatch):
-    # two callers, each with more scratch sets than the pool has workers,
-    # with thread switches forced often: both finish, with the right bytes
-    cfg, grid, particle = _cores_setup(15, 4 * _BLOCK_512 + 21)
-    ref = _whole_block_density(cfg, grid, particle).tobytes()
-    monkeypatch.setattr(discrete_oracle, "_usable_cores", lambda: 3)
-    out = []
-
-    def run():
-        out.append(pl.discrete_reset_density(cfg, grid, particle).values.tobytes())
-
-    callers = [threading.Thread(target=run, daemon=True) for _ in range(2)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(caller.is_alive() for caller in callers)
-    assert out == [ref, ref]
+def test_interpolated_quadrature_past_33_nodes(monkeypatch):
+    # kin_max delta_t = 14 rad: 33 nodes leave about 1e-8 of max |G|, and
+    # the check goes on to 65
+    dens, ref, used = _interpolated(monkeypatch, 200 * DELTA_T, 400)
+    assert used == [65]
+    assert np.max(np.abs(dens - ref)) <= 1e-12 * np.max(ref)
 
 
-def test_traced_peak_of_the_cli_density(monkeypatch):
-    # the oracle-cli bath at 60 modes: 8192 nodes on 4096 points, two scratch
-    # sets of one 61-node block each, freed before the inverse FFT
-    monkeypatch.setattr(discrete_oracle, "_usable_cores", lambda: 2)
+@pytest.mark.parametrize(
+    "window, n_time_samples",
+    [(DELTA_T, 20), (5000 * DELTA_T, 600)],
+    ids=["fewer nodes than a round", "257 nodes do not resolve G"],
+)
+def test_trapezoid_fallback_is_the_direct_quadrature(window, n_time_samples, monkeypatch):
+    # 20 nodes: the first round would need 33. kin_max delta_t = 360 rad:
+    # the check fails at 257 nodes and the next round would need 513
+    dens, ref, used = _interpolated(monkeypatch, window, n_time_samples)
+    assert used == []
+    assert np.max(np.abs(dens - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_undersampling_check_sees_the_slowest_mode():
+    # omega_max = 1.5 omega_0: mode 1 at 0.1 omega_0 has the fastest phase,
+    # 0.9 omega_0, 14.3 periods in the window
+    _, packet, _ = _setup()
+    bath = pl.DiscreteBathSpec(
+        n_modes=15, omega_max=1.5 * OMEGA_0, coupling_g=G, omega_0=OMEGA_0
+    )
+    with pytest.raises(pl.ConfigError) as err:
+        pl.DiscreteResetConfig(bath=bath, packet=packet, delta_t=DELTA_T, n_time_samples=200)
+    assert str(err.value) == (
+        "n_time_samples=200 undersamples the fastest phase: need >= 286"
+    )
+    pl.DiscreteResetConfig(bath=bath, packet=packet, delta_t=DELTA_T, n_time_samples=286)
+
+
+def test_traced_peak_of_the_cli_density():
+    # the oracle-cli bath at 60 modes: 8192 nodes on 4096 points, G at 33
+    # Chebyshev nodes and the (60, 4096) accumulator
     particle, packet, grid = _setup(4096)
     cfg = pl.DiscreteResetConfig(
         bath=_bath(60), packet=packet, delta_t=DELTA_T, n_time_samples=8192

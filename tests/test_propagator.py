@@ -393,6 +393,34 @@ def test_failed_chunk_propagates_and_the_pool_recovers(cores, monkeypatch):
     assert _same_bytes(final, amps_ref)
 
 
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # two callers of three chunks each on the shared pool, with thread
+    # switches forced often: both finish, with the right bytes
+    kernel, rows = _four_rows()
+    amps_ref, w1_ref, _, _ = _one_sample_at_a_time(kernel, rows, 37, 5)
+    monkeypatch.setattr(propagator, "_usable_cores", lambda: 3)
+    out = []
+
+    def run():
+        out.append(_evolve_rows(kernel, rows, 37, 5))
+
+    callers = [threading.Thread(target=run, daemon=True) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(out) == 2
+    for _, w1, final in out:
+        assert _same_bytes(w1, w1_ref)
+        assert _same_bytes(final, amps_ref)
+
+
 def test_kernel_names_the_first_non_finite_step_inside_a_block():
     # one wavenumber grows 1e100-fold per step, so the state overflows a few
     # steps in, before the end of the first block of samples
