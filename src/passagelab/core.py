@@ -39,6 +39,15 @@ CESIUM_MASS = 2.2069e-25  # kg
 _TAIL_TOL = 1e-10
 # working-set budget of one block of complex rows (kijowski chirp, oracle nodes)
 _BLOCK_BYTES = 4_000_000
+# the most terms one product sums. OpenBLAS sums an inner dimension above 128
+# in a different order on one thread than on several, and a result would then
+# depend on the thread count.
+_MAX_BLOCK_NODES = 64
+# the interpolation rule's first node count, its most nodes, and its
+# tolerance on the predicted nodes relative to the largest value
+_FIRST_NODES = 17
+_MAX_NODES = 257
+_INTERP_TOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -65,6 +74,69 @@ def _check_count(name: str, value: int, minimum: int) -> None:
 def _block_rows(n_cols: int) -> int:
     """Rows of n_cols complex values that fit one _BLOCK_BYTES block."""
     return max(1, _BLOCK_BYTES // (16 * n_cols))
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, summed over chunks of at most _MAX_BLOCK_NODES inner terms in
+    a fixed order."""
+    out = a[:, :_MAX_BLOCK_NODES] @ b[:_MAX_BLOCK_NODES]
+    for start in range(_MAX_BLOCK_NODES, a.shape[1], _MAX_BLOCK_NODES):
+        out += a[:, start : start + _MAX_BLOCK_NODES] @ b[start : start + _MAX_BLOCK_NODES]
+    return out
+
+
+def _chebyshev_times(n_nodes: int, a: float, b: float) -> np.ndarray:
+    """n_nodes Chebyshev-Lobatto nodes on [a, b], from b down to a: every
+    other node of 2 n_nodes - 1, with the same bits."""
+    return a + 0.5 * (b - a) * (1.0 + np.cos(np.pi * np.arange(n_nodes) / (n_nodes - 1)))
+
+
+def _lagrange_rows(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """L_c(t_j), (len(t), len(nodes)): the Lagrange basis of the
+    Chebyshev-Lobatto nodes at the times t, in the barycentric form (Berrut &
+    Trefethen, SIAM Rev. 46, 501, 2004). A time on a node gets its unit row."""
+    lam = (-1.0) ** np.arange(len(nodes))
+    lam[[0, -1]] *= 0.5
+    d = t[:, None] - nodes
+    on = d == 0.0
+    rows = lam / np.where(on, 1.0, d)
+    rows /= np.sum(rows, axis=1, keepdims=True)
+    hit = np.any(on, axis=1)
+    rows[hit] = on[hit]
+    return rows
+
+
+def _interpolation_nodes(evaluate, a: float, b: float, limit: int, rate: float):
+    """(nodes, f at the nodes) for f(t) on [a, b], or (None, None) where the
+    caller falls back to its own limit points.
+
+    evaluate(times) gives f at the times, one row each. The node count C
+    starts at _FIRST_NODES. Each round evaluates f at the C - 1 nodes between
+    the current ones, predicts them with the C-node interpolant P_C, and stops
+    once max |predicted - direct| <= _INTERP_TOL max |f|, keeping all 2C - 1
+    nodes (Trefethen, Approximation Theory and Approximation Practice, SIAM
+    2013, ch. 8). A round that would need limit nodes or more, or more than
+    _MAX_NODES, falls back. rate bounds how fast f's phases turn, in rad per
+    unit t: the Chebyshev coefficients of e^{i rate t} on [a, b] do not decay
+    before degree rate (b - a) / 2, so a window past the largest interpolant
+    the check tests falls back before any row is evaluated.
+    """
+    if rate * (b - a) > _MAX_NODES - 1:
+        return None, None
+    g = None
+    size = 2 * _FIRST_NODES - 1
+    while size < limit and size <= _MAX_NODES:
+        nodes = _chebyshev_times(size, a, b)
+        if g is None:
+            g = evaluate(nodes[::2])
+        fresh = evaluate(nodes[1::2])
+        predicted = _product(_lagrange_rows(nodes[1::2], nodes[::2]), g)
+        residual = np.max(np.abs(predicted - fresh))
+        g = np.insert(g, range(1, len(g)), fresh, axis=0)  # the nodes' order
+        if residual <= _INTERP_TOL * np.max(np.abs(g)):
+            return nodes, g
+        size = 2 * size - 1
+    return None, None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ integral is a trapezoid sum over n_time_samples nodes. G is an entire function
 of t that varies slowly over the window, so the sum runs on its interpolant
 through a few dozen Chebyshev-Lobatto nodes (Trefethen, Approximation Theory
 and Approximation Practice, SIAM 2013, ch. 8): one (modes x nodes) @
-(nodes x points) product, then one inverse FFT per mode.
+(nodes x points) product, then one inverse FFT per mode. The interpolation
+rule, core._interpolation_nodes, is the one kijowski_distribution uses.
 
 Every product sums at most _MAX_BLOCK_NODES terms at a time, in a fixed order,
 so the output is bit-for-bit the same on any BLAS thread count. The oracle
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _MAX_BLOCK_NODES,
     GaussianPacketSpec,
     ParticleSpec,
     SpatialGrid,
@@ -32,7 +34,10 @@ from .core import (
     _check_count,
     _check_positive,
     _free_packet,
+    _interpolation_nodes,
+    _lagrange_rows,
     _packet_x_terms,
+    _product,
     _tail_gate,
     gaussian_free_state,
 )
@@ -49,15 +54,6 @@ __all__ = [
 ]
 
 _MIN_SAMPLES_PER_PERIOD = 20
-# the most terms one product sums. OpenBLAS sums an inner dimension above 128
-# in a different order on one thread than on several, and the accumulated
-# density would then depend on the thread count.
-_MAX_BLOCK_NODES = 64
-# the interpolation rule's first node count, its most nodes, and its
-# tolerance on the predicted nodes relative to max |G|
-_FIRST_NODES = 17
-_MAX_NODES = 257
-_INTERP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,55 +102,6 @@ class ComparisonMetrics:
     exclusion: tuple[float, float]
 
 
-def _chebyshev_times(n_nodes: int, delta_t: float) -> np.ndarray:
-    """n_nodes Chebyshev-Lobatto nodes on [0, delta_t], from delta_t down to 0:
-    every other node of 2 n_nodes - 1, with the same bits."""
-    return 0.5 * delta_t * (1.0 + np.cos(np.pi * np.arange(n_nodes) / (n_nodes - 1)))
-
-
-def _lagrange_rows(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """L_c(t_j), (len(t), len(nodes)): the Lagrange basis of the
-    Chebyshev-Lobatto nodes at the times t, in the barycentric form (Berrut &
-    Trefethen, SIAM Rev. 46, 501, 2004). A time on a node gets its unit row."""
-    lam = (-1.0) ** np.arange(len(nodes))
-    lam[[0, -1]] *= 0.5
-    d = t[:, None] - nodes
-    on = d == 0.0
-    rows = lam / np.where(on, 1.0, d)
-    rows /= np.sum(rows, axis=1, keepdims=True)
-    hit = np.any(on, axis=1)
-    rows[hit] = on[hit]
-    return rows
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, summed over chunks of at most _MAX_BLOCK_NODES inner terms in
-    a fixed order."""
-    out = a[:, :_MAX_BLOCK_NODES] @ b[:_MAX_BLOCK_NODES]
-    for start in range(_MAX_BLOCK_NODES, a.shape[1], _MAX_BLOCK_NODES):
-        out += a[:, start : start + _MAX_BLOCK_NODES] @ b[start : start + _MAX_BLOCK_NODES]
-    return out
-
-
-def _interpolation_nodes(back_propagated, delta_t: float, nt: int):
-    """(nodes, G at the nodes) by the rule of discrete_reset_density, or
-    (None, None) where it falls back to the trapezoid's nt nodes."""
-    g = None
-    size = 2 * _FIRST_NODES - 1
-    while size < nt and size <= _MAX_NODES:
-        nodes = _chebyshev_times(size, delta_t)
-        if g is None:
-            g = back_propagated(nodes[::2])
-        fresh = back_propagated(nodes[1::2])
-        predicted = _product(_lagrange_rows(nodes[1::2], nodes[::2]), g)
-        residual = np.max(np.abs(predicted - fresh))
-        g = np.insert(g, range(1, len(g)), fresh, axis=0)  # the nodes' order
-        if residual <= _INTERP_TOL * np.max(np.abs(g)):
-            return nodes, g
-        size = 2 * size - 1
-    return None, None
-
-
 def discrete_reset_density(
     cfg: DiscreteResetConfig, grid: SpatialGrid, particle: ParticleSpec
 ) -> DensityProfile:
@@ -167,7 +114,10 @@ def discrete_reset_density(
     with P_C, and stops once max |predicted - direct| <= 1e-12 max |G|,
     keeping all 2C - 1 nodes. If the next round would need n_time_samples
     nodes or more, or more than 257, the sum runs on G at the trapezoid nodes
-    themselves: the direct quadrature. The weights sum to delta_t and
+    themselves: the direct quadrature. So does a window over which a column k
+    of G turns through more than 256 rad, at kin(k) - kin(k0) for the
+    packet's k0: no interpolant the check tests resolves it, and the rule
+    evaluates no row of G. The weights sum to delta_t and
     |e^{i dw_l t}| = 1, so |delta acc| <= delta_t max_t |G - P_C|; the check's
     residual estimates that maximum, and the 2C - 1 nodes kept are closer.
     """
@@ -197,7 +147,10 @@ def discrete_reset_density(
         rows *= np.exp(1j * kin_phase * t[:, None])
         return rows
 
-    nodes, g = _interpolation_nodes(back_propagated, cfg.delta_t, nt)
+    # column k of G turns at about kin(k) - kin(k0)
+    v0 = cfg.packet.mean_velocity_v0
+    rate = np.max(np.abs(kin_phase - 0.5 * particle.mass * v0 * v0 / particle.hbar))
+    nodes, g = _interpolation_nodes(back_propagated, 0.0, cfg.delta_t, nt, rate)
     # the trapezoid in chunks of nodes: into M, or the direct sum into acc
     acc = np.zeros((bath.n_modes, n if nodes is None else len(nodes)), dtype=complex)
     block = min(_block_rows(n), _MAX_BLOCK_NODES)

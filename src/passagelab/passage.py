@@ -28,9 +28,13 @@ from .core import (
     ParticleSpec,
     SpatialGrid,
     WaveFunction,
+    _MAX_BLOCK_NODES,
     _block_rows,
     _check_count,
     _check_positive,
+    _interpolation_nodes,
+    _lagrange_rows,
+    _product,
     build_grid,
     free_sigma_x,
     gaussian_free_state,
@@ -529,7 +533,18 @@ def kijowski_distribution(
     """Axiomatic arrival-time density at point x for the free packet.
 
     Pi_K(t) = hbar/(2 pi m) |int_0^inf dk sqrt(k) phi(k) e^{i k x - i hbar k^2 t/2m}|^2,
-    evaluated by quadrature over the packet's analytic momentum amplitude.
+    evaluated by quadrature over the packet's analytic momentum amplitude on
+    n_k points of [k_lo, k_hi]. The amplitude drops its carrier
+    e^{-i hbar k_c^2 t/2m}, k_c^2 = (k_lo^2 + k_hi^2)/2, which halves its
+    phase band: B(t) = sum_m c_m e^{-i hbar t (k_m^2 - k_c^2)/2m}, |B| = |amp|.
+    B is evaluated at Chebyshev-Lobatto nodes on [min t, max t] by the rule of
+    discrete_reset_density (core._interpolation_nodes) and read at every time
+    from its barycentric interpolant P_C, 64 times at a time. The sum runs at
+    every time instead where the rule falls back: no convergence by 257 nodes
+    (or B turning through more than 256 rad over the window), a round of
+    len(t_grid) nodes or more, or fewer than two times. The interpolant moves
+    the amplitude by |delta amp(t)| <= max over [min t, max t] of |B - P_C|,
+    which the check's residual estimates.
     """
     if isinstance(n_k, bool) or not isinstance(n_k, Integral) or n_k < 2:
         raise ConfigError(f"n_k must be an integer >= 2, got {n_k!r}")
@@ -549,10 +564,28 @@ def kijowski_distribution(
         -(packet.sigma_x**2) * (k - k0) ** 2 - 1j * k * packet.center_x0
     )
     integrand = np.sqrt(k) * phi * np.exp(1j * k * x)
-    # build the (times, k) chirp a block of times at a time, a few MB each
+    k2 = k * k
+    rate = hb * (k2 - 0.5 * (k2[0] + k2[-1])) / (2.0 * m)
     block = _block_rows(n_k)
-    amp = np.empty(len(t), dtype=complex)
-    for i in range(0, len(t), block):
-        chirp = np.exp(-1j * hb * np.outer(t[i : i + block], k * k) / (2.0 * m))
-        amp[i : i + block] = chirp @ integrand * dk
+
+    def amplitude(times: np.ndarray) -> np.ndarray:
+        """B at the times, from (times, k) chirp blocks of a few MB each."""
+        out = np.empty(len(times), dtype=complex)
+        for i in range(0, len(times), block):
+            chirp = np.exp(-1j * np.outer(times[i : i + block], rate))
+            out[i : i + block] = chirp @ integrand * dk
+        return out
+
+    nodes = None
+    if len(t) > 1:
+        nodes, b = _interpolation_nodes(
+            amplitude, t.min(), t.max(), len(t), np.max(np.abs(rate))
+        )
+    if nodes is None:
+        amp = amplitude(t)
+    else:
+        amp = np.empty(len(t), dtype=complex)
+        for i in range(0, len(t), _MAX_BLOCK_NODES):
+            part = t[i : i + _MAX_BLOCK_NODES]
+            amp[i : i + _MAX_BLOCK_NODES] = _product(_lagrange_rows(part, nodes), b)
     return hb / (2.0 * np.pi * m) * np.abs(amp) ** 2

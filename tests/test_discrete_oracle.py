@@ -349,6 +349,25 @@ def test_traced_peak_of_the_cli_density():
     assert peak <= 19e6
 
 
+def test_traced_peak_of_a_window_past_the_rule():
+    # 16384 points and a window of 350 x 4.185e-11 s on the slow bath: G's
+    # fastest column turns through about 6400 rad, so the rule holds no row
+    # of G and the trapezoid's 600 nodes are summed directly
+    particle = pl.cesium()
+    packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=50e-9, mean_velocity_v0=0.5)
+    grid = pl.build_grid(-0.6e-6, 0.6e-6, 16384)
+    cfg = pl.DiscreteResetConfig(
+        bath=_SLOW_BATH, packet=packet, delta_t=350 * DELTA_T, n_time_samples=600
+    )
+    tracemalloc.start()
+    try:
+        pl.discrete_reset_density(cfg, grid, particle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25e6
+
+
 _DENSITY_BYTES = """
 import sys
 import passagelab as pl

@@ -1,8 +1,12 @@
 """Two-detector pipeline: configuration, invariances, and reference
 distributions."""
+import os
+import subprocess
+import sys
 import typing
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +387,102 @@ def test_kijowski_translation_invariance():
         t,
     )
     assert np.allclose(a, b, rtol=1e-10)
+
+
+# the CLI's packet and window: cesium, sigma 1 um at 7.17 mm/s, x = 0
+_CLI_PACKET = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=1e-6, mean_velocity_v0=7.17e-3)
+_CLI_TIMES = np.linspace(-0.5e-3, 1.5e-3, 2001)
+
+
+def _kijowski_direct(packet, particle, x, t, n_k=4001):
+    """Pi_K at each time by its own sum over the same k points, carrier in."""
+    m, hb = particle.mass, particle.hbar
+    k0 = m * packet.mean_velocity_v0 / hb
+    sk = 1.0 / (2.0 * packet.sigma_x)
+    k = np.linspace(max(k0 - 9.0 * sk, 0.0), k0 + 9.0 * sk, n_k)
+    phi = (2.0 * packet.sigma_x**2 / np.pi) ** 0.25 * np.exp(
+        -(packet.sigma_x**2) * (k - k0) ** 2 - 1j * k * packet.center_x0
+    )
+    out = np.empty(len(t))
+    for i, ti in enumerate(t):
+        terms = np.sqrt(k) * phi * np.exp(1j * (k * x - hb * k * k * ti / (2.0 * m)))
+        out[i] = hb / (2.0 * np.pi * m) * abs(np.sum(terms) * (k[1] - k[0])) ** 2
+    return out
+
+
+def _kijowski_spied(monkeypatch, x, t):
+    """(Pi_K, one pair per call to the rule: its node count, None on its
+    fallback, and how many times it evaluated the amplitude at)."""
+    rule = passage._interpolation_nodes
+    used = []
+
+    def spy(evaluate, *args):
+        evaluated = []
+
+        def counted(times):
+            evaluated.append(len(times))
+            return evaluate(times)
+
+        nodes, b = rule(counted, *args)
+        used.append((None if nodes is None else len(nodes), sum(evaluated)))
+        return nodes, b
+
+    monkeypatch.setattr(passage, "_interpolation_nodes", spy)
+    return pl.kijowski_distribution(_CLI_PACKET, pl.cesium(), x, t), used
+
+
+def test_kijowski_interpolated_on_the_cli_window(monkeypatch):
+    # without its carrier the amplitude turns through 65 rad over the 2 ms
+    # window: 129 nodes resolve it
+    pik, used = _kijowski_spied(monkeypatch, 0.0, _CLI_TIMES)
+    assert used == [(129, 129)]
+    ref = _kijowski_direct(_CLI_PACKET, pl.cesium(), 0.0, _CLI_TIMES)
+    assert np.max(np.abs(pik - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_kijowski_falls_back_past_the_rule(monkeypatch):
+    # 968 rad over 30 ms at x = 100 um: no interpolant the check tests could
+    # resolve it, so the rule evaluates nothing and the sum runs at every time
+    t = np.linspace(0.0, 30e-3, 2001)
+    pik, used = _kijowski_spied(monkeypatch, 100e-6, t)
+    assert used == [(None, 0)]
+    ref = _kijowski_direct(_CLI_PACKET, pl.cesium(), 100e-6, t)
+    assert np.max(np.abs(pik - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_kijowski_empty_and_one_point_times(monkeypatch):
+    pik, used = _kijowski_spied(monkeypatch, 0.0, [])
+    assert pik.shape == (0,) and used == []
+    pik, used = _kijowski_spied(monkeypatch, 0.0, [0.5e-3])
+    assert used == []
+    ref = _kijowski_direct(_CLI_PACKET, pl.cesium(), 0.0, [0.5e-3])
+    assert pik.shape == (1,)
+    assert abs(pik[0] - ref[0]) <= 1e-12 * ref[0]
+
+
+_KIJOWSKI_BYTES = """
+import sys
+import numpy as np
+import passagelab as pl
+packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=1e-6, mean_velocity_v0=7.17e-3)
+t = np.linspace(-0.5e-3, 1.5e-3, 2001)
+sys.stdout.buffer.write(pl.kijowski_distribution(packet, pl.cesium(), 0.0, t).tobytes())
+"""
+
+
+def test_kijowski_bytes_independent_of_blas_threads():
+    src = str(Path(pl.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _KIJOWSKI_BYTES],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+        out.append(run.stdout)
+    assert len(out[0]) == 8 * 2001
+    assert out[1] == out[0]
 
 
 def test_classical_passage_against_monte_carlo():

@@ -346,10 +346,14 @@ def test_failed_chunk_propagates_and_the_pool_recovers(cores, monkeypatch):
     bad[0, 0] = np.inf
     evolve = propagator._evolve_batch
     started, stopped = [], []
+    # every chunk has started before the first one may fail, so a loaded
+    # machine cannot leave one queued for the cancel to remove
+    every_chunk = threading.Barrier(cores)
 
     def slow(kernel, batch):
         started.append(time.perf_counter())
         try:
+            every_chunk.wait(timeout=30.0)
             if np.all(np.isfinite(batch.amps.view(float))):
                 time.sleep(0.1)
             with np.errstate(invalid="ignore"):
