@@ -469,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         help=(
             "worker threads for the precision-sweep points (default 1); "
-            "stage 2 and the discrete oracle use every usable core"
+            "stage 2 uses every usable core"
         ),
     )
     args = parser.parse_args(argv)

@@ -37,6 +37,7 @@ HBAR = 1.054571817e-34  # J s
 CESIUM_MASS = 2.2069e-25  # kg
 
 _TAIL_TOL = 1e-10
+_erfc = np.frompyfunc(erfc, 1, 1)  # math.erfc per element: numpy has no erfc
 # working-set budget of one block of complex rows (kijowski chirp, oracle nodes)
 _BLOCK_BYTES = 4_000_000
 # the most terms one product sums. OpenBLAS sums an inner dimension above 128
@@ -119,9 +120,9 @@ def _interpolation_nodes(evaluate, a: float, b: float, limit: int, rate: float):
     _MAX_NODES, falls back. rate bounds how fast f's phases turn, in rad per
     unit t: the Chebyshev coefficients of e^{i rate t} on [a, b] do not decay
     before degree rate (b - a) / 2, so a window past the largest interpolant
-    the check tests falls back before any row is evaluated.
+    the check tests, or of zero length, falls back before any row is evaluated.
     """
-    if rate * (b - a) > _MAX_NODES - 1:
+    if not b > a or rate * (b - a) > _MAX_NODES - 1:
         return None, None
     g = None
     size = 2 * _FIRST_NODES - 1
@@ -247,68 +248,44 @@ def free_sigma_x(packet: GaussianPacketSpec, particle: ParticleSpec, t: float) -
 
 
 def _tail_gate(
-    packet: GaussianPacketSpec, particle: ParticleSpec, t: float, grid: SpatialGrid
+    packet: GaussianPacketSpec, particle: ParticleSpec, t: float | np.ndarray, grid: SpatialGrid
 ) -> None:
-    """Raise GridTooNarrowError if the packet's tail mass outside the grid at t
-    exceeds _TAIL_TOL."""
+    """Raise GridTooNarrowError with the first tail mass outside the grid that
+    exceeds _TAIL_TOL, over the time t or an array of times."""
+    t = np.atleast_1d(t)
     center = packet.center_x0 + packet.mean_velocity_v0 * t
-    sig_t = free_sigma_x(packet, particle, t)
-    tail = 0.5 * erfc((center - grid.x_min) / (sig_t * sqrt(2.0))) + 0.5 * erfc(
-        (grid.x_max - center) / (sig_t * sqrt(2.0))
-    )
-    if tail > _TAIL_TOL:
+    width = free_sigma_x(packet, particle, t) * sqrt(2.0)
+    tail = 0.5 * _erfc((center - grid.x_min) / width) + 0.5 * _erfc((grid.x_max - center) / width)
+    over = tail[tail > _TAIL_TOL]
+    if over.size:
         raise GridTooNarrowError(
-            f"packet tail mass {tail:.2e} outside grid [{grid.x_min}, {grid.x_max}] "
+            f"packet tail mass {over[0]:.2e} outside grid [{grid.x_min}, {grid.x_max}] "
             f"exceeds {_TAIL_TOL}"
         )
 
 
-def _packet_x_terms(
-    packet: GaussianPacketSpec, particle: ParticleSpec, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The time-independent parts of _free_packet at the points x:
-    x - x0 and 1j k0 (x - x0)."""
-    k0 = particle.mass * packet.mean_velocity_v0 / particle.hbar
-    rel = x - packet.center_x0
-    return rel, 1j * k0 * rel
-
-
 def _free_packet(
-    packet: GaussianPacketSpec,
-    particle: ParticleSpec,
-    t: float | np.ndarray,
-    x_terms: tuple[np.ndarray, np.ndarray],
-    out: np.ndarray,
-    work: np.ndarray,
+    packet: GaussianPacketSpec, particle: ParticleSpec, t: float | np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """Closed-form free packet at the points x: t is a scalar, or a column of
-    times (shape (B, 1)) giving one row per time.
-
-    x_terms is _packet_x_terms(packet, particle, x). The rows go into out
-    (complex, the broadcast shape of t and x) and the real intermediates into
-    work (float, (2,) + that shape).
-    """
+    times (shape (B, 1)) giving one row per time."""
     m, hb = particle.mass, particle.hbar
     s0 = packet.sigma_x
     k0 = m * packet.mean_velocity_v0 / hb
-    # the time terms are real until multiplied by 1j: numpy divides a complex
-    # array by a real through its reciprocal, Python complex arithmetic does
-    # not, and this form rounds a column of times exactly like a scalar time
+    # hbar t / 2 m s0^2 stays real until it is multiplied by 1j, so a column
+    # of times rounds like a scalar time and the oracle's rows equal
+    # gaussian_free_state's
     alpha = 1.0 + 1j * (hb * t / (2.0 * m * s0 * s0))
-    rel, kx = x_terms
-    xc, arg = work
-    np.subtract(rel, packet.mean_velocity_v0 * t, out=xc)
-    np.negative(xc, out=arg)
-    arg *= xc
-    # cast into out first: dividing the real arg directly would make numpy
-    # allocate a cast buffer on every call
-    np.copyto(out, arg)
-    out /= 4.0 * s0 * s0 * alpha
-    out += kx
-    out -= 1j * (hb * k0 * k0 * t / (2.0 * m))
-    np.exp(out, out=out)
-    np.multiply((2.0 * np.pi * s0 * s0) ** -0.25 / np.sqrt(alpha), out, out=out)
-    return out
+    xc = x - packet.center_x0 - packet.mean_velocity_v0 * t
+    return (
+        (2.0 * np.pi * s0 * s0) ** -0.25
+        / np.sqrt(alpha)
+        * np.exp(
+            -xc * xc / (4.0 * s0 * s0 * alpha)
+            + 1j * k0 * (x - packet.center_x0)
+            - 1j * (hb * k0 * k0 * t / (2.0 * m))
+        )
+    )
 
 
 def gaussian_free_state(
@@ -323,11 +300,7 @@ def gaussian_free_state(
     Raises GridTooNarrowError if the truncated tail probability exceeds 1e-10.
     """
     _tail_gate(packet, particle, t, grid)
-    n = grid.n_points
-    x_terms = _packet_x_terms(packet, particle, grid.x)
-    amps = _free_packet(
-        packet, particle, t, x_terms, np.empty(n, dtype=complex), np.empty((2, n))
-    )
+    amps = _free_packet(packet, particle, t, grid.x)
     return WaveFunction(grid=grid, amplitudes=amps, time=t)
 
 

@@ -36,7 +36,6 @@ from .core import (
     _free_packet,
     _interpolation_nodes,
     _lagrange_rows,
-    _packet_x_terms,
     _product,
     _tail_gate,
     gaussian_free_state,
@@ -127,8 +126,7 @@ def discrete_reset_density(
     nt = cfg.n_time_samples
     ts = np.linspace(0.0, cfg.delta_t, nt)
     # every node passes the tail gate before any packet is evaluated
-    for t_node in ts:
-        _tail_gate(cfg.packet, particle, t_node, grid)
+    _tail_gate(cfg.packet, particle, ts, grid)
     # Theta keeps the tail x[i0:] of the grid; the other columns stay zero
     i0 = int(np.searchsorted(grid.x, 0.0))
     x_pos = grid.x[i0:]
@@ -136,13 +134,11 @@ def discrete_reset_density(
     weights[0] *= 0.5
     weights[-1] *= 0.5
     kin_phase = particle.hbar * grid.k * grid.k / (2.0 * particle.mass)
-    x_terms = _packet_x_terms(cfg.packet, particle, x_pos)
 
     def back_propagated(t: np.ndarray) -> np.ndarray:
         """G at the times t, one row each: FFT[Theta psi(t)] e^{i kin t}."""
         rows = np.zeros((len(t), n), dtype=complex)
-        work = np.empty((2, len(t), len(x_pos)))
-        _free_packet(cfg.packet, particle, t[:, None], x_terms, rows[:, i0:], work)
+        rows[:, i0:] = _free_packet(cfg.packet, particle, t[:, None], x_pos)
         np.fft.fft(rows, axis=-1, out=rows)
         rows *= np.exp(1j * kin_phase * t[:, None])
         return rows

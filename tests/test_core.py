@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import passagelab as pl
-from passagelab.core import HBAR, CESIUM_MASS, _free_packet, _packet_x_terms
+from passagelab.core import HBAR, CESIUM_MASS, _free_packet
 
 
 def test_grid_spacing_exact():
@@ -92,23 +92,16 @@ def test_gaussian_free_state_carries_spatial_phase():
     assert np.max(np.abs(phi1 - phi0)) / np.max(phi0) < 1e-9
 
 
-def _packet_rows(packet, particle, t, x):
-    """_free_packet into new buffers of the broadcast shape of t and x."""
-    shape = np.broadcast_shapes(np.shape(t), x.shape)
-    x_terms = _packet_x_terms(packet, particle, x)
-    out, work = np.empty(shape, dtype=complex), np.empty((2,) + shape)
-    return _free_packet(packet, particle, t, x_terms, out, work)
-
-
 def test_free_state_equals_closed_form_on_a_time_column():
     # the discrete oracle evaluates the closed form for a column of times on
-    # the points x >= 0; each row must be the scalar-time state bit for bit
+    # the points x >= 0; each row must be the scalar-time state bit for bit,
+    # also at the negative start time of an arrival pass
     packet = pl.GaussianPacketSpec(center_x0=-1e-6, sigma_x=1e-6, mean_velocity_v0=7.17e-3)
     particle = pl.cesium()
     grid = pl.build_grid(-30e-6, 200e-6, 8192)
-    times = [0.0, 4.185e-11, 1.3e-7, 2e-4, 1.7e-3, 6.1e-3]
+    times = [-8.54e-4, 0.0, 4.185e-11, 1.3e-7, 2e-4, 1.7e-3, 6.1e-3]
     i0 = int(np.searchsorted(grid.x, 0.0))
-    column = _packet_rows(packet, particle, np.array(times)[:, None], grid.x[i0:])
+    column = _free_packet(packet, particle, np.array(times)[:, None], grid.x[i0:])
     for t, row in zip(times, column):
         psi = pl.gaussian_free_state(packet, particle, t, grid)
         assert np.array_equal(psi.amplitudes[i0:], row)
@@ -132,20 +125,18 @@ def _one_expression_packet(packet, particle, t, x):
 
 
 def test_free_packet_into_buffers_rounds_like_one_expression():
-    # the step-by-step form, into new arrays or into a strided view (as the
-    # discrete oracle passes), has the bits of the closed form written as
-    # one expression
+    # the free packet, returned or written into a strided view of a zeroed
+    # buffer (as the discrete oracle does), has the bits of the closed form
+    # written as one expression, at negative times too
     packet = pl.GaussianPacketSpec(center_x0=-1e-6, sigma_x=1e-6, mean_velocity_v0=7.17e-3)
     particle = pl.cesium()
     x = pl.build_grid(-30e-6, 200e-6, 1024).x[131:]
-    column = np.array([0.0, 4.185e-11, 1.3e-7, 2e-4, 6.1e-3])[:, None]
-    for t in (0.0, 1.3e-7, column):
+    column = np.array([-8.54e-4, 0.0, 4.185e-11, 1.3e-7, 2e-4, 6.1e-3])[:, None]
+    for t in (-8.54e-4, 0.0, 1.3e-7, column):
         ref = _one_expression_packet(packet, particle, t, x)
-        assert _packet_rows(packet, particle, t, x).tobytes() == ref.tobytes()
+        assert _free_packet(packet, particle, t, x).tobytes() == ref.tobytes()
     rows = np.zeros((len(column), 1024), dtype=complex)
-    work = np.empty((2, len(column), len(x)))
-    x_terms = _packet_x_terms(packet, particle, x)
-    _free_packet(packet, particle, column, x_terms, rows[:, 131:], work)
+    rows[:, 131:] = _free_packet(packet, particle, column, x)
     assert rows[:, 131:].tobytes() == ref.tobytes()
     assert not rows[:, :131].any()
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import passagelab as pl
-from passagelab import discrete_oracle, propagator
+from passagelab import discrete_oracle
 from passagelab.core import _block_rows, _tail_gate
 from passagelab.discrete_oracle import _MAX_BLOCK_NODES
 
@@ -214,43 +214,37 @@ def test_packet_leaving_grid_late_in_window_raises():
         pl.discrete_reset_density(cfg, grid, particle)
 
 
-def _cores_setup(n_modes, n_time_samples):
+@pytest.mark.parametrize("n_modes", [15, 60])
+def test_trapezoid_in_chunks_matches_per_node_loop(n_modes):
+    # a trapezoid of 4 chunks of 64 nodes and one of 21 stays within 1e-12
+    # of the per-node loop
     particle = pl.cesium()
     packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=50e-9, mean_velocity_v0=1.79)
     grid = pl.build_grid(-0.45e-6, 0.75e-6, 512)
     cfg = pl.DiscreteResetConfig(
-        bath=_bath(n_modes), packet=packet, delta_t=DELTA_T / 8, n_time_samples=n_time_samples
+        bath=_bath(n_modes),
+        packet=packet,
+        delta_t=DELTA_T / 8,
+        n_time_samples=4 * _MAX_BLOCK_NODES + 21,
     )
-    return cfg, grid, particle
-
-
-@pytest.mark.parametrize("n_modes", [15, 60])
-def test_density_bytes_same_for_any_core_count(n_modes, monkeypatch):
-    # the oracle runs in the calling thread: the usable cores, which size the
-    # shared pool, do not change its bytes, and a trapezoid of 4 chunks of
-    # 64 nodes and one of 21 stays within 1e-12 of the per-node loop
-    cfg, grid, particle = _cores_setup(n_modes, 4 * _MAX_BLOCK_NODES + 21)
-    out = []
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(propagator, "_usable_cores", lambda: cores)
-        out.append(pl.discrete_reset_density(cfg, grid, particle).values)
-    assert all(o.tobytes() == out[0].tobytes() for o in out[1:])
+    dens = pl.discrete_reset_density(cfg, grid, particle).values
     ref = _per_node_density(cfg, grid, particle)
-    assert np.max(np.abs(out[0] - ref)) <= 1e-12 * np.max(ref)
+    assert np.max(np.abs(dens - ref)) <= 1e-12 * np.max(ref)
 
 
-@pytest.mark.parametrize("cores", [1, 2])
-def test_late_grid_error_raised_before_any_block(cores, monkeypatch):
+@pytest.mark.parametrize("windows", [1, 2])
+def test_late_grid_error_raised_before_any_block(windows, monkeypatch):
     # the tail gate runs over every trapezoid node first: the error is the
-    # first failing node's, and no packet is evaluated
+    # first failing node's, on a window of one or two DELTA_T, and no packet
+    # is evaluated
     particle = pl.cesium()
     packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=50e-9, mean_velocity_v0=2e3)
     grid = pl.build_grid(-0.6e-6, 7 * packet.sigma_x, 1024)
     cfg = pl.DiscreteResetConfig(
-        bath=_bath(15), packet=packet, delta_t=DELTA_T, n_time_samples=8192
+        bath=_bath(15), packet=packet, delta_t=windows * DELTA_T, n_time_samples=8192
     )
     first_failure = None
-    for t in np.linspace(0.0, DELTA_T, 8192):
+    for t in np.linspace(0.0, cfg.delta_t, 8192):
         try:
             _tail_gate(packet, particle, t, grid)
         except pl.GridTooNarrowError as exc:
@@ -258,7 +252,6 @@ def test_late_grid_error_raised_before_any_block(cores, monkeypatch):
             break
     assert first_failure is not None
     calls = []
-    monkeypatch.setattr(propagator, "_usable_cores", lambda: cores)
     monkeypatch.setattr(discrete_oracle, "_free_packet", lambda *a: calls.append(a))
     with pytest.raises(pl.GridTooNarrowError) as err:
         pl.discrete_reset_density(cfg, grid, particle)
@@ -371,9 +364,6 @@ def test_traced_peak_of_a_window_past_the_rule():
 _DENSITY_BYTES = """
 import sys
 import passagelab as pl
-from passagelab import discrete_oracle
-if sys.argv[1] == "one-core":
-    discrete_oracle._usable_cores = lambda: 1
 packet = pl.GaussianPacketSpec(center_x0=0.0, sigma_x=50e-9, mean_velocity_v0=1.79)
 bath = pl.DiscreteBathSpec(n_modes=60, omega_max={om}, coupling_g={g}, omega_0={o0})
 cfg = pl.DiscreteResetConfig(bath=bath, packet=packet, delta_t={dt}, n_time_samples=600)
@@ -383,21 +373,18 @@ sys.stdout.buffer.write(pl.discrete_reset_density(cfg, grid, pl.cesium()).values
 
 
 def test_density_bytes_independent_of_blas_threads():
-    # on one and two BLAS threads, with the blocks in the calling thread and
-    # on the pool at its default size
     src = str(Path(pl.__file__).resolve().parents[1])
     out = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        for cores in ("one-core", "default"):
-            run = subprocess.run(
-                [sys.executable, "-c", _DENSITY_BYTES, cores],
-                env=env, capture_output=True, check=True, timeout=120,
-            )
-            out.append(run.stdout)
+        run = subprocess.run(
+            [sys.executable, "-c", _DENSITY_BYTES],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+        out.append(run.stdout)
     assert len(out[0]) == 8 * 1024
-    assert all(o == out[0] for o in out[1:])
+    assert out[1] == out[0]
 
 
 def test_continuum_reset_density_shape():

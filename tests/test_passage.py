@@ -460,6 +460,17 @@ def test_kijowski_empty_and_one_point_times(monkeypatch):
     assert abs(pik[0] - ref[0]) <= 1e-12 * ref[0]
 
 
+def test_kijowski_on_coincident_times(monkeypatch):
+    # forty equal times make a window of zero length: the rule falls back
+    # before it evaluates the amplitude, and nothing divides by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pik, used = _kijowski_spied(monkeypatch, 0.0, np.full(40, 1e-4))
+        one = pl.kijowski_distribution(_CLI_PACKET, pl.cesium(), 0.0, [1e-4])
+    assert used == [(None, 0)]
+    assert np.max(np.abs(pik - one[0])) <= 1e-14 * one[0]
+
+
 _KIJOWSKI_BYTES = """
 import sys
 import numpy as np
