@@ -47,8 +47,9 @@ from .discrete_oracle import (
 from .exceptions import ConfigError, ConvergenceError, PassageLabError, RegimeWarning
 from .passage import (
     ExperimentConfig,
+    _arrival_box,
     _arrival_pass,
-    _detector1_start,
+    _detector1_window,
     _reset_row,
     arrival_stage,
     kijowski_distribution,
@@ -268,14 +269,12 @@ def build_bath(conf: dict) -> tuple[DiscreteBathSpec, dict]:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    np.savetxt(
-        path,
-        np.column_stack(columns),
-        fmt="%.12e",
-        delimiter=",",
-        header=",".join(header),
-        comments="",
-    )
+    """The columns as np.savetxt(fmt="%.12e", delimiter=",") writes them
+    under a header line, formatted by one % on a repeated row format."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.12e"] * table.shape[1]) + "\n"
+    body = (row * len(table)) % tuple(table.ravel().tolist())
+    path.write_text(",".join(header) + "\n" + body)
 
 
 def _summary(out_dir: Path, name: str, conf: dict, payload: dict, warned: list[str]) -> Path:
@@ -292,7 +291,7 @@ def _summary(out_dir: Path, name: str, conf: dict, payload: dict, warned: list[s
 
 def _arrival_grid_points(cfg: ExperimentConfig) -> int:
     """Points of the grid detector 1's pass runs on: its box, or the grid."""
-    return _detector1_start(cfg)[1].grid.n_points
+    return _arrival_box(cfg, *_detector1_window(cfg))[0].n_points
 
 
 def _cmd_arrival(conf: dict, out: Path, args: argparse.Namespace) -> dict:
@@ -326,12 +325,14 @@ def _cmd_passage(conf: dict, out: Path, args: argparse.Namespace) -> dict:
         "std_tau_seconds": dist.std_tau,
         "leakage_never_detected": never,
         "leakage_stage2_residual": residual2,
+        "leakage_boundary": dist.boundary_loss,
         "detection_probability_1": ensemble.p_detected_1,
         "arrival_peak_seconds": peak_time(record),
         "entry_grid_size": int(len(ensemble.entry_times)),
         "kept_rank": dist.kept_rank,
         "discarded_power": dist.discarded_power,
         "arrival_grid_points": _arrival_grid_points(cfg),
+        "stage2_grid_points": dist.stage2_grid_points,
     }
 
 

@@ -101,6 +101,18 @@ class ComparisonMetrics:
     exclusion: tuple[float, float]
 
 
+def _free_phase(kin_phase: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """e^{i kin t}, one row per time t. On an fftfreq grid kin(-k) = kin(k)
+    bit for bit, so only the n // 2 + 1 columns of k >= 0 and the Nyquist
+    column, which has no partner, are exponentiated; the rest are mirrored."""
+    n = len(kin_phase)
+    half = n // 2 + 1
+    out = np.empty((len(t), n), dtype=complex)
+    np.exp(1j * kin_phase[:half] * t[:, None], out=out[:, :half])
+    out[:, half:] = out[:, n - half : 0 : -1]
+    return out
+
+
 def discrete_reset_density(
     cfg: DiscreteResetConfig, grid: SpatialGrid, particle: ParticleSpec
 ) -> DensityProfile:
@@ -140,7 +152,7 @@ def discrete_reset_density(
         rows = np.zeros((len(t), n), dtype=complex)
         rows[:, i0:] = _free_packet(cfg.packet, particle, t[:, None], x_pos)
         np.fft.fft(rows, axis=-1, out=rows)
-        rows *= np.exp(1j * kin_phase * t[:, None])
+        rows *= _free_phase(kin_phase, t)
         return rows
 
     # column k of G turns at about kin(k) - kin(k0)

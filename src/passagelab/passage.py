@@ -11,7 +11,9 @@ of the weighted snapshot matrix sqrt(c_T) psi_T, cut at 1e-6 of its squared
 sum: 256 entry times become 4-17 propagated states on the reference grid and
 9 at the 3 and 6.46 mm/s sweep points. The reset states vanish outside
 detector 1, so the matrix is decomposed on the span of its non-zero columns
-only; the zero columns change no singular value or vector.
+only; the zero columns change no singular value or vector. The kept rows
+are propagated on a run of the grid's points between the detectors that
+ends in an absorbing layer, so nothing wraps round the periodic grid.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .core import (
     _block_rows,
     _check_count,
     _check_positive,
+    _five_smooth,
     _interpolation_nodes,
     _lagrange_rows,
     _product,
@@ -76,6 +79,21 @@ _START_STEPS = 12
 # of the free packet's path: there its amplitude is 1.1e-7 of its peak and
 # the mass beyond is 6e-16 (the tail gate's 1e-10 sits at 6.4 widths)
 _BOX_WIDTHS = 8.0
+# stage 2's box, in units of detector 2's length L2: the grid points from
+# _STAGE2_MARGIN L2 left of detector 1 to _STAGE2_MARGIN L2 right of detector
+# 2, then an absorbing layer of length L2 up to the box's periodic seam. The
+# layer's rate rises as a quadratic from 0 at each of its ends to its peak in
+# its middle: two ramps of L2 / 2 (Kosloff & Kosloff, J. Comput. Phys. 63,
+# 363, 1986), one facing right-movers past detector 2 and one facing
+# left-movers that cross the seam. Its peak is set so that a particle at the
+# packet's speed v keeps e^-_LAYER_DEPTH of its probability across one ramp:
+# 6 _LAYER_DEPTH v / L2, 1.0e5 1/s on the reference study. v is |v0|, or the
+# velocity spread hbar / (2 m sigma_x) when that is larger, so that a packet
+# at rest or moving left gets a layer too. Lengths
+# and rates both follow the problem's own scales, so its space-time scaling
+# symmetry holds through stage 2
+_STAGE2_MARGIN = 0.25
+_LAYER_DEPTH = 46.5
 
 
 @dataclass(frozen=True)
@@ -84,8 +102,8 @@ class ExperimentConfig:
 
     Times left as None are derived: t_start places the packet center six
     spreading-widths left of detector 1, t_end1 lets the packet clear
-    detector 1, tau_max balances capture against periodic wrap-around.
-    dt2 (stage-2 step) defaults to dt.
+    detector 1, tau_max aims at capture, capped at the grid's wrap-around
+    time (see _auto_tau_max). dt2 (stage-2 step) defaults to dt.
     """
 
     particle: ParticleSpec
@@ -104,7 +122,7 @@ class ExperimentConfig:
     # The dropped rows only lower G, by at most discarded_power x captured_mass
     # in total (see passage_distribution). At 1e-6 that moves std(G) by at most
     # 3.5e-6 relative on the reference study, 100x below the stage-2 step error
-    # and 5 000x below the grid, entry-grid and wrap-around errors, while a cut
+    # and 5 000x below the grid and entry-grid errors, while a cut
     # at rounding level (1e-12) propagates about half as many rows again
     svd_keep: ClassVar[float] = 1e-6
 
@@ -146,10 +164,15 @@ class PassageDistribution:
     total_probability: float
     mean_tau: float
     std_tau: float
-    # (probability never detected by either stage, mass left on the grid after stage 2)
+    # (probability never detected by either stage, the boundary loss included;
+    # mass left in stage 2's box at tau_max)
     leakage_report: tuple[float, float]
     kept_rank: int  # singular vectors propagated in stage 2
     discarded_power: float  # dropped share of the sum of squared singular values
+    # mass stage 2's absorbing layer took: the trapezoid integral over tau of
+    # its sampled loss density
+    boundary_loss: float
+    stage2_grid_points: int  # points of the box stage 2 ran on (see _stage2_box)
 
 
 def _edge_crossing_time(
@@ -189,7 +212,13 @@ def _edge_crossing_time(
 
 
 def _auto_tau_max(cfg: ExperimentConfig) -> float:
-    """Capture-oriented horizon, capped below the periodic wrap-around time."""
+    """Capture-oriented horizon, capped at 0.9 of the time the packet takes
+    to go once round cfg.grid.
+
+    Stage 2 runs on a box with an absorbing layer, so nothing wraps round any
+    more; the cap only fixes the horizon, and with it every std(G) over
+    [0, tau_max], until a horizon-robust width replaces it.
+    """
     v0 = cfg.packet.mean_velocity_v0
     if v0 <= 0.0:
         raise ConfigError("auto tau_max needs a positive mean velocity")
@@ -218,17 +247,40 @@ def _arrival_box(
     not be smaller than the grid, the grid itself is returned.
     """
     grid, packet, particle = cfg.grid, cfg.packet, cfg.particle
-    n, dx = grid.n_points, grid.dx
+    dx = grid.dx
     lo, hi = cfg.detector1.profile.a - dx, cfg.detector1.profile.b + dx
     for t in (t_start, t_end):
         centre = packet.center_x0 + packet.mean_velocity_v0 * t
         reach = _BOX_WIDTHS * free_sigma_x(packet, particle, t)
         lo, hi = min(lo, centre - reach), max(hi, centre + reach)
     m = 2 ** ceil(log2((hi - lo) / dx))
+    return _grid_run(grid, round((0.5 * (lo + hi) - grid.x_min) / dx) - m // 2, m)
+
+
+def _grid_run(grid: SpatialGrid, j0: int, m: int) -> tuple[SpatialGrid, int]:
+    """The m points of grid from index j0, clamped to the grid, and the index
+    of their first point; the grid itself when m is not smaller than it."""
+    n, dx = grid.n_points, grid.dx
     if m >= n:
         return grid, 0
-    j0 = min(max(round((0.5 * (lo + hi) - grid.x_min) / dx) - m // 2, 0), n - m)
+    j0 = int(min(max(j0, 0), n - m))
     return build_grid(grid.x_min + j0 * dx, grid.x_min + (j0 + m) * dx, m), j0
+
+
+def _detector1_window(cfg: ExperimentConfig) -> tuple[float, float]:
+    """Detector 1's window (t_start, t_end1), given or derived, checked."""
+    particle, packet, det1 = cfg.particle, cfg.packet, cfg.detector1
+    t_start, t_end = cfg.t_start, cfg.t_end1
+    if t_start is None:
+        t_start = min(_edge_crossing_time(packet, particle, det1.profile.a, -1.0), 0.0)
+    if t_end is None:
+        t_end = _edge_crossing_time(packet, particle, det1.profile.b, 1.0)
+    for name, t in (("t_start", t_start), ("t_end1", t_end)):
+        if not np.isfinite(t):
+            raise ConfigError(f"{name} must be finite, got {t}")
+    if t_end <= t_start:
+        raise ConfigError(f"t_end1 {t_end} must exceed t_start {t_start}")
+    return t_start, t_end
 
 
 def _detector1_start(
@@ -253,16 +305,7 @@ def _detector1_start(
     if det1.decay_a == 0.0:
         raise NoDetectionError("detector 1 has A = 0: no detection")
     particle, grid, packet = cfg.particle, cfg.grid, cfg.packet
-    t_start, t_end = cfg.t_start, cfg.t_end1
-    if t_start is None:
-        t_start = min(_edge_crossing_time(packet, particle, det1.profile.a, -1.0), 0.0)
-    if t_end is None:
-        t_end = _edge_crossing_time(packet, particle, det1.profile.b, 1.0)
-    for name, t in (("t_start", t_start), ("t_end1", t_end)):
-        if not np.isfinite(t):
-            raise ConfigError(f"{name} must be finite, got {t}")
-    if t_end <= t_start:
-        raise ConfigError(f"t_end1 {t_end} must exceed t_start {t_start}")
+    t_start, t_end = _detector1_window(cfg)
     n_steps = int(round((t_end - t_start) / cfg.dt))
     if n_steps < 1:
         raise NoDetectionError(
@@ -340,7 +383,7 @@ def _reset_row(cfg: ExperimentConfig, at_time: float | None) -> tuple[float, np.
     i = int(np.argmin(np.abs(entry_times - want)))
     kernel, psi0, _, support = _detector1_start(cfg)
     step = int(steps[i])
-    _, _, final = _evolve_rows(kernel, psi0.amplitudes[None, :], step, step)
+    final = _evolve_rows(kernel, psi0.amplitudes[None, :], step, step)[-1]
     row = _reset_states(cfg, support, final[:, kernel.support])[0]
     return float(entry_times[i]), row
 
@@ -406,6 +449,79 @@ def _moments(t: np.ndarray, density: np.ndarray) -> tuple[float, float, float]:
     return total, mean, float(np.sqrt(max(var, 0.0)))
 
 
+def _nonzero_span(states: np.ndarray) -> slice:
+    """The span of the columns where some row of states is non-zero."""
+    nonzero = np.flatnonzero(np.any(states != 0.0, axis=0))
+    if len(nonzero) == 0:
+        raise NoDetectionError("reset ensemble states are zero at every grid point")
+    return slice(nonzero[0], nonzero[-1] + 1)
+
+
+def _stage2_cells(cfg: ExperimentConfig) -> tuple[int, int]:
+    """Grid cells of stage 2's margin and absorbing layer (see _STAGE2_MARGIN),
+    a length within 1e-6 dx of a whole number of cells counting as that
+    number. The layer takes at least two, so that its rate is not all zero."""
+    p2, dx = cfg.detector2.profile, cfg.grid.dx
+    length = p2.b - p2.a
+    return ceil(_STAGE2_MARGIN * length / dx - 1e-6), max(ceil(length / dx - 1e-6), 2)
+
+
+def _stage2_box(cfg: ExperimentConfig, cols: slice) -> tuple[SpatialGrid, int]:
+    """The grid stage 2 runs on, and the index in cfg.grid of its first point.
+
+    cols is the span of the basis's non-zero columns in cfg.grid. The box is
+    the smallest run of cfg.grid's own points, with no prime factor above 5
+    in its length, that starts a margin left of detector 1's first point or
+    of cols, whichever is further left, and holds detector 2 and cols, the
+    margin, and one absorbing layer that ends at the box's last point (see
+    _STAGE2_MARGIN). dx is cfg.grid's. When no run is smaller than the grid,
+    the grid itself is returned; a ConfigError says when not even the grid
+    has room for the layer right of detector 2.
+    """
+    grid, p2 = cfg.grid, cfg.detector2.profile
+    n, dx = grid.n_points, grid.dx
+    on1 = np.flatnonzero(cfg.detector1.profile.chi(grid))
+    on2 = np.flatnonzero(p2.chi(grid))
+    if len(on2) == 0:
+        raise GridError("detector 2 has no point on the grid")
+    margin, layer = _stage2_cells(cfg)
+    start = max(min(cols.start, on2[0], *on1[:1]) - margin, 0)
+    stop = max(cols.stop, on2[-1] + 1) + margin
+    if stop + layer > n:
+        raise ConfigError(
+            f"stage 2 needs {margin + layer} grid points right of detector 2 and "
+            f"the reset states for its margin and absorbing layer, up to "
+            f"{grid.x_min + (stop + layer) * dx} m; the grid ends at {grid.x_max} m"
+        )
+    m = stop + layer - start
+    while not _five_smooth(m):
+        m += 1
+    return _grid_run(grid, start, m)
+
+
+def _stage2_kernel(cfg: ExperimentConfig, cols: slice, dt2: float) -> tuple[_Kernel, int]:
+    """Stage 2's step kernel on `_stage2_box`'s box, and the box's offset j0
+    in cfg.grid.
+
+    Its potential is detector 2's on cfg.grid, cut to the box, plus the
+    absorbing layer on the box's last L points: a rate of
+    peak (1 - |2 s - 1|)^2 at s = j / L on its j-th point, 0 at its first
+    point and at the seam after its last. Detector 1 is off."""
+    grid, p2, packet = cfg.grid, cfg.detector2.profile, cfg.packet
+    box, j0 = _stage2_box(cfg, cols)
+    m = box.n_points
+    pot = cfg.detector2.potential_field(grid)
+    decay = pot.decay_rate[j0 : j0 + m].copy()
+    _, layer = _stage2_cells(cfg)
+    spread = cfg.particle.hbar / (2.0 * cfg.particle.mass * packet.sigma_x)
+    speed = max(abs(packet.mean_velocity_v0), spread)
+    peak = 6.0 * _LAYER_DEPTH * speed / (p2.b - p2.a)
+    s = np.arange(layer) / layer
+    decay[m - layer :] = peak * (1.0 - np.abs(2.0 * s - 1.0)) ** 2
+    field = ComplexPotentialField(box, decay, pot.real_shift[j0 : j0 + m])
+    return _kernel(box, cfg.particle, field, dt2, layer_start=m - layer), j0
+
+
 def passage_distribution(
     cfg: ExperimentConfig, ensemble: ResetEnsemble | None = None
 ) -> PassageDistribution:
@@ -423,8 +539,17 @@ def passage_distribution(
     since a unit state is detected with probability at most 1,
     int dG dtau <= discarded_power x captured_mass, up to stage 2's own
     norm-budget residual.
+
+    G is a quantity on the infinite line. Stage 2 therefore runs on
+    `_stage2_box`'s run of the grid's points (5 400 of the 8 192 reference
+    points), whose last points are an absorbing layer across its periodic
+    seam: right-movers past detector 2 enter it from the left, and
+    left-movers that leave the box's first point enter it through the seam.
+    So no mass wraps round to be detected again. Each sample reduces the
+    layer's loss density next to w1; its trapezoid integral over tau is
+    `boundary_loss`, and it counts as never detected.
     """
-    particle, grid = cfg.particle, cfg.grid
+    grid = cfg.grid
     dt2 = cfg.dt2 if cfg.dt2 is not None else cfg.dt
     tau_max = cfg.tau_max if cfg.tau_max is not None else _auto_tau_max(cfg)
     n_steps = int(round(tau_max / dt2))
@@ -437,34 +562,31 @@ def passage_distribution(
         raise GridError(
             f"reset ensemble states have {width} points, the grid {grid.n_points}"
         )
-    nonzero = np.flatnonzero(np.any(ensemble.states != 0.0, axis=0))
-    if len(nonzero) == 0:
-        raise NoDetectionError("reset ensemble states are zero at every grid point")
-
-    span = slice(nonzero[0], nonzero[-1] + 1)
+    span = _nonzero_span(ensemble.states)
     weighted = np.sqrt(ensemble.weights)[:, None] * ensemble.states[:, span]
     _, svals, vrows = np.linalg.svd(weighted, full_matrices=False)
     power = svals**2
     total_power = float(np.sum(power))
     keep = power > cfg.svd_keep * total_power
-    basis = np.zeros((int(np.count_nonzero(keep)), grid.n_points), dtype=complex)
-    basis[:, span] = svals[keep, None] * vrows[keep]
 
-    pot2 = cfg.detector2.potential_field(grid)  # detector 1 is off in stage 2
-    steps, w1rows, final = _evolve_rows(
-        _kernel(grid, particle, pot2, dt2), basis, n_steps, cfg.tau_stride
-    )
+    kernel, j0 = _stage2_kernel(cfg, span, dt2)
+    basis = np.zeros((int(np.count_nonzero(keep)), len(kernel.kin)), dtype=complex)
+    basis[:, span.start - j0 : span.stop - j0] = svals[keep, None] * vrows[keep]
+    steps, w1rows, lostrows, final = _evolve_rows(kernel, basis, n_steps, cfg.tau_stride)
     # each row's norm^2, squared in place, then their sum over the rows; the
     # rows are freed before G's arrays are made, which lowers the memory peak
     dens = np.abs(final)
-    residual_2 = float(np.sum(np.sum(np.square(dens, out=dens), axis=-1) * grid.dx))
+    residual_2 = float(np.sum(np.sum(np.square(dens, out=dens), axis=-1) * kernel.dx))
     del final, dens
     tau = steps * dt2
     g_tau = np.sum(w1rows, axis=0)
+    boundary_loss = float(np.trapezoid(np.sum(lostrows, axis=0), tau))
 
     total, mean, std = _moments(tau, g_tau)
     entry_truncation = ensemble.p_detected_1 - ensemble.captured_mass
-    never_detected = ensemble.residual_norm_1 + residual_2 + entry_truncation
+    never_detected = (
+        ensemble.residual_norm_1 + residual_2 + entry_truncation + boundary_loss
+    )
     detectable = total + residual_2
     if detectable > 0.0 and total < _CAPTURE_TARGET * detectable:
         warnings.warn(
@@ -482,6 +604,8 @@ def passage_distribution(
         leakage_report=(never_detected, residual_2),
         kept_rank=len(basis),
         discarded_power=float(np.sum(power[~keep])) / total_power,
+        boundary_loss=boundary_loss,
+        stage2_grid_points=len(kernel.kin),
     )
 
 

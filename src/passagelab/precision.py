@@ -138,9 +138,10 @@ def sweep_point_config(
     arrival stage steps dt = dt2 / 10. Since a_opt delta_tau_opt = sqrt(5) for
     every v0, d and particle, A dt2 = sqrt(5) / 56 = 0.040 at every point.
     Strang splitting is exact in the kinetic factor and second order in the
-    potential, and stage 2's only potential is detector 2's A chi; halving
-    both steps moves std(G) at the paper's seven points by at most 3.3e-4
-    relative. convergence_probe checks the arrival step at dt / 2.
+    potential, and stage 2's potential is detector 2's A chi and its
+    absorbing layer; halving both steps moves std(G) at the paper's seven
+    points by at most 3.0e-4 relative. convergence_probe checks the arrival
+    step at dt / 2.
     """
     plan = optimal_plan(d, particle, v0)
     packet = GaussianPacketSpec(

@@ -8,7 +8,9 @@ The potential factors are exactly 1 outside the span where the decay rate or
 the shift is non-zero, so the batched kernel multiplies on that span only.
 A sample takes only the moduli of the closed state; squares, sums and the
 finiteness check run once per block of samples, with the same bits as one
-sample at a time.
+sample at a time. A kernel may end its span in an absorbing layer, whose
+decay rate steps like a detector's but is reduced apart from w1, as the
+density of mass lost to the boundary.
 Stage 2's row chunks run on a shared thread pool, one task per chunk,
 through _in_order, which returns them in order.
 """
@@ -143,21 +145,34 @@ class _Kernel:
     vfull: np.ndarray
     decay: np.ndarray  # the decay rate on that span
     dx: float
+    # the span's first `detected` points count towards w1; the decay rate on
+    # the rest is an absorbing layer, whose rate the samples reduce apart
+    detected: int
 
 
 def _kernel(
-    grid: SpatialGrid, particle: ParticleSpec, pot: ComplexPotentialField, dt: float
+    grid: SpatialGrid,
+    particle: ParticleSpec,
+    pot: ComplexPotentialField,
+    dt: float,
+    layer_start: int | None = None,
 ) -> _Kernel:
+    """The step factors of pot on grid. With layer_start, the decay rate from
+    that grid index on absorbs without detecting: w1 reads the rate left of
+    it only, and the samples reduce the rest as the layer's loss density."""
     nonzero = np.flatnonzero((pot.decay_rate != 0.0) | (pot.real_shift != 0.0))
     support = slice(nonzero[0], nonzero[-1] + 1) if len(nonzero) else slice(0, 0)
     vhalf = _potential_half_factor(pot, dt)[support]
+    decay = pot.decay_rate[support]
+    detected = len(decay) if layer_start is None else layer_start - support.start
     return _Kernel(
         kin=_kinetic_factor(grid, particle, dt),
         support=support,
         vhalf=vhalf,
         vfull=vhalf * vhalf,
-        decay=pot.decay_rate[support],
+        decay=decay,
         dx=grid.dx,
+        detected=detected,
     )
 
 
@@ -176,9 +191,11 @@ class _Batch:
     the samples read the whole grid; else nsq is (r, 0) and they read the
     kernel's span. With hold, held (n_samples, r, n_span) takes the closed
     states on the kernel's span at the same samples; else it is
-    (n_samples, r, 0). dens (block, r, width) takes |closed state| at up to
-    block samples, on what the samples read, until they are reduced
-    together; block keeps it within _BLOCK_BYTES.
+    (n_samples, r, 0). When the kernel has an absorbing layer, lost
+    (r, n_samples) takes the layer's loss density at the same samples; else
+    it is (r, 0). dens (block, r, width) takes |closed state| at up to block
+    samples, on what the samples read, until they are reduced together;
+    block keeps it within _BLOCK_BYTES.
     """
 
     def __init__(
@@ -202,6 +219,7 @@ class _Batch:
         rows, n = self.amps.shape
         n_span = len(kernel.decay)
         self.w1 = np.empty((rows, len(steps)))
+        self.lost = np.empty((rows, len(steps) if kernel.detected < n_span else 0))
         self.nsq = np.empty((rows, len(steps) if norms else 0))
         self.held = np.empty((len(steps), rows, n_span if hold else 0), dtype=complex)
         width = n if norms else n_span
@@ -224,8 +242,12 @@ def _reduce(kernel: _Kernel, batch: _Batch, j0: int, m: int) -> None:
     # with the number of rows: a row's bits must not depend on its batch
     np.multiply(dens, kernel.decay, out=dens)
     w1 = batch.w1[:, j0:j1]
-    np.sum(dens, axis=-1, out=w1.T)
+    np.sum(dens[..., : kernel.detected], axis=-1, out=w1.T)
     w1 *= kernel.dx
+    if batch.lost.shape[1]:
+        lost = batch.lost[:, j0:j1]
+        np.sum(dens[..., kernel.detected :], axis=-1, out=lost.T)
+        lost *= kernel.dx
     # without norms, w1 sees a non-finite row at the same sample: one FFT
     # spreads a non-finite point over the whole row
     c0 = max(j0, 1)
@@ -281,8 +303,10 @@ def _evolve_batch(kernel: _Kernel, batch: _Batch) -> None:
 
 def _evolve_rows(
     kernel: _Kernel, rows: np.ndarray, n_steps: int, sample_stride: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evolve independent rows on the usable cores; (steps, w1 rows, final rows).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Evolve independent rows on the usable cores; (steps, w1 rows, the
+    absorbing layer's loss rows, final rows). Without a layer the loss rows
+    have no samples.
 
     The rows are split into contiguous chunks, one per core, run by
     _in_order. Every chunk's arrays are allocated here, in the
@@ -298,9 +322,10 @@ def _evolve_rows(
     ]
     _in_order(lambda batch: _evolve_batch(kernel, batch), batches)
     steps, w1 = batches[0].steps, np.concatenate([b.w1 for b in batches])
+    lost = np.concatenate([b.lost for b in batches])
     final = [b.amps for b in batches]
     del batches  # free the FFT and sample buffers before the rows are joined
-    return steps, w1, np.concatenate(final)
+    return steps, w1, lost, np.concatenate(final)
 
 
 def _conditional(

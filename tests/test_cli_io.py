@@ -304,8 +304,43 @@ def test_passage_subcommand_toy(tmp_path, toy_yaml):
     assert isinstance(res["kept_rank"], int) and 1 <= res["kept_rank"] <= 16
     assert 0.0 <= res["discarded_power"] < 16 * pl.ExperimentConfig.svd_keep
     assert res["arrival_grid_points"] == 1024
+    # stage 2's box: [15, 146.3] um of the grid's [-40, 260] um
+    assert res["stage2_grid_points"] == 900
+    never, boundary = res["leakage_never_detected"], res["leakage_boundary"]
+    assert 0.0 < boundary < never
+    assert res["total_probability"] + never == pytest.approx(1.0, abs=2e-3)
     assert (out / "passage.csv").is_file()
     assert any("tau grid captures" in w for w in doc["warnings"])
+
+
+def test_arrival_grid_points_come_without_a_kernel_or_a_state(monkeypatch):
+    # the summary's arrival box size is read from the box alone
+    cfg = cli_io.build_experiment(cli_io._merge(cli_io.SCHEMA, yaml.safe_load(TOY_YAML)))
+    for name in ("_kernel", "gaussian_free_state", "_evolve_rows"):
+        monkeypatch.setattr(passage, name, _refuse)
+    assert cli_io._arrival_grid_points(cfg) == 1024
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built a kernel or a state")
+
+
+def test_csv_bytes_equal_savetxt(tmp_path):
+    # one % on a repeated row format writes what np.savetxt writes
+    values = np.array(
+        [0.0, -0.0, 1.0, -2.5, 1e-300, -4.9e-324, 1.7e308, -3.3e-12, 123456.789, np.pi]
+    )
+    columns = [values, -values[::-1], np.geomspace(1e-200, 1e200, len(values))]
+    cli_io._write_csv(tmp_path / "one.csv", ["a", "b", "c"], columns)
+    np.savetxt(
+        tmp_path / "ref.csv",
+        np.column_stack(columns),
+        fmt="%.12e",
+        delimiter=",",
+        header="a,b,c",
+        comments="",
+    )
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_reset_state_subcommand_toy(tmp_path, toy_yaml):

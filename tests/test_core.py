@@ -23,12 +23,20 @@ def test_grid_wavenumbers_match_fft_convention():
 
 
 def test_grid_validation():
-    with pytest.raises(pl.GridError):
-        pl.build_grid(0.0, 1e-6, 1000)  # not a power of two
+    for n in (1001, 14):  # 7 x 11 x 13 and 2 x 7: a prime factor above 5
+        with pytest.raises(pl.GridError, match=f"no prime factor above 5, got {n}"):
+            pl.build_grid(0.0, 1e-6, n)
     with pytest.raises(pl.GridError):
         pl.build_grid(0.0, 1e-6, 1)
     with pytest.raises(pl.GridError):
         pl.build_grid(1e-6, 1e-6, 64)  # empty span
+
+
+@pytest.mark.parametrize("n", [1000, 1920, 5400])
+def test_grid_accepts_five_smooth_sizes(n):
+    grid = pl.build_grid(-30e-6, 200e-6, n)
+    assert grid.n_points == len(grid.x) == n
+    assert grid.dx == 230e-6 / n
 
 
 def test_cesium_constants():

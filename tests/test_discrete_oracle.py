@@ -361,6 +361,19 @@ def test_traced_peak_of_a_window_past_the_rule():
     assert peak <= 25e6
 
 
+@pytest.mark.parametrize("n_points", [16384, 1350, 625])
+def test_mirrored_phase_is_the_full_width_phase(n_points):
+    # kin(-k) = kin(k) bit for bit on an fftfreq grid, so the phase the
+    # oracle exponentiates on the k >= 0 columns and mirrors is the full one;
+    # odd sizes have no Nyquist column
+    particle, _, _ = _setup()
+    grid = pl.build_grid(-0.6e-6, 0.6e-6, n_points)
+    kin = particle.hbar * grid.k * grid.k / (2.0 * particle.mass)
+    t = np.linspace(0.0, 350 * DELTA_T, 7)
+    full = np.exp(1j * kin * t[:, None])
+    assert discrete_oracle._free_phase(kin, t).tobytes() == full.tobytes()
+
+
 _DENSITY_BYTES = """
 import sys
 import passagelab as pl

@@ -280,16 +280,146 @@ def test_off_detector_weight_matches_full_width_svd(toy_run):
     _, svals, vrows = np.linalg.svd(weighted, full_matrices=False)
     power = svals**2
     keep = power > cfg.svd_keep * float(np.sum(power))
-    kernel = propagator._kernel(
-        cfg.grid, cfg.particle, cfg.detector2.potential_field(cfg.grid), cfg.dt2
-    )
+    # the full-width rows, propagated on the box stage 2 runs on; they vanish
+    # off it, so cutting them to the box drops nothing
+    rows = svals[keep, None] * vrows[keep]
+    kernel, j0 = passage._stage2_kernel(cfg, passage._nonzero_span(states), cfg.dt2)
+    on = slice(j0, j0 + len(kernel.kin))
+    assert on.start <= np.flatnonzero(upstream)[0] - 5e-6 / cfg.grid.dx
+    assert np.sum(np.abs(rows[:, on]) ** 2) >= (1.0 - 1e-24) * np.sum(np.abs(rows) ** 2)
     n_steps = int(round(dist.tau[-1] / cfg.dt2))
-    _, w1rows, _ = propagator._evolve_rows(
-        kernel, svals[keep, None] * vrows[keep], n_steps, cfg.tau_stride
-    )
+    _, w1rows, _, _ = propagator._evolve_rows(kernel, rows[:, on], n_steps, cfg.tau_stride)
     g_ref = np.sum(w1rows, axis=0)
     assert dist.kept_rank == int(np.count_nonzero(keep))
     assert np.max(np.abs(dist.g_tau - g_ref)) <= 1e-12 * np.max(g_ref)
+
+
+def _detector1_cols(cfg):
+    on = np.flatnonzero(cfg.detector1.profile.chi(cfg.grid))
+    return slice(on[0], on[-1] + 1)
+
+
+def test_stage2_box_on_the_reference_grid(particle):
+    # from 5 um left of detector 1 to 5 um right of detector 2, plus a 20 um
+    # layer: 5345 points, and no length from 5345 to 5399 is 5-smooth
+    cfg = toy_config(
+        particle,
+        pl.GaussianPacketSpec(center_x0=0.0, sigma_x=1e-6, mean_velocity_v0=7.17e-3),
+        grid=pl.build_grid(-30e-6, 200e-6, 8192),
+        detector1=pl.DetectorSpec(profile=pl.RectangularProfile(0.0, 20e-6), decay_a=2e3),
+        detector2=pl.DetectorSpec(profile=pl.RectangularProfile(100e-6, 120e-6), decay_a=2e3),
+    )
+    grid, dx = cfg.grid, cfg.grid.dx
+    box, j0 = passage._stage2_box(cfg, _detector1_cols(cfg))
+    m = box.n_points
+    assert (m, j0) == (5400, 890)
+    assert all(passage._five_smooth(n) == (n == 5400) for n in range(5345, 5401))
+    assert np.allclose(box.x, grid.x[j0 : j0 + m], rtol=0.0, atol=1e-9 * dx)
+    assert box.x_min <= -5e-6 < box.x_min + dx
+    kernel, j1 = passage._stage2_kernel(cfg, _detector1_cols(cfg), 2e-5)
+    on2 = np.flatnonzero(cfg.detector2.profile.chi(grid)) - j0
+    layer = m - kernel.support.start - kernel.detected
+    assert j1 == j0 and kernel.support == slice(on2[0], m)
+    assert layer == 713 and np.all(kernel.decay[: on2[-1] + 1 - on2[0]] == 2e3)
+    assert np.all(kernel.decay[on2[-1] + 1 - on2[0] : -layer] == 0.0)
+    rate = kernel.decay[-layer:]
+    # zero at the layer's first point, symmetric about its middle, ~1e5 1/s there
+    assert rate[0] == 0.0 and np.allclose(rate[1:], rate[1:][::-1], rtol=1e-12)
+    assert np.max(rate) == pytest.approx(1.0e5, rel=5e-3)
+
+
+def test_stage2_box_is_the_grid_or_raises_without_room(toy_particle, toy_packet):
+    tight = toy_config(toy_particle, toy_packet, grid=pl.build_grid(14e-6, 146e-6, 1350))
+    assert passage._stage2_box(tight, _detector1_cols(tight)) == (tight.grid, 0)
+    short = toy_config(toy_particle, toy_packet, grid=pl.build_grid(-40e-6, 140e-6, 2048))
+    with pytest.raises(pl.ConfigError, match="absorbing layer.*grid ends at 0.00014 m"):
+        passage._stage2_box(short, _detector1_cols(short))
+
+
+def test_probability_closes_with_the_boundary_loss(toy_run):
+    # total + never detected = 1 up to the norm budgets: detector 1's
+    # P0 + cum - 1, stage 2's (kept mass against G, the boundary loss and the
+    # mass left in the box) and the SVD cut. The boundary loss is measured by
+    # sampling the layer's loss density, so it is not what is left of the
+    # budget: leaving it out would miss by more than the residuals
+    dist, ens = toy_run["dist"], toy_run["ensemble"]
+    never, residual2 = dist.leakage_report
+    assert np.all(dist.g_tau >= 0.0)
+    assert dist.boundary_loss > 0.0
+    kept = (1.0 - dist.discarded_power) * ens.captured_mass
+    stage2 = kept - (dist.total_probability + dist.boundary_loss + residual2)
+    stage1 = ens.p_detected_1 + ens.residual_norm_1 - 1.0
+    residual = abs(stage2) + abs(stage1) + dist.discarded_power * ens.captured_mass
+    assert residual < 1e-3 < dist.boundary_loss
+    assert abs(dist.total_probability + never - 1.0) <= residual + 1e-12
+
+
+@pytest.mark.parametrize("x0, v0", [(30e-6, 0.0), (60e-6, -0.05)])
+def test_stage2_runs_for_a_packet_at_rest_or_moving_left(toy_particle, x0, v0):
+    # with the times given, neither stage needs v0 > 0: the layer's rate comes
+    # from the packet's velocity spread at rest and from |v0| moving left,
+    # where the reset states leave through the box's first point and the seam
+    packet = pl.GaussianPacketSpec(center_x0=x0, sigma_x=2e-6, mean_velocity_v0=v0)
+    cfg = toy_config(toy_particle, packet, t_start=0.0, t_end1=1.2e-3, tau_max=1e-3, dt2=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.RegimeWarning)
+        _, ens = pl.arrival_stage(cfg)
+        dist = pl.passage_distribution(cfg, ens)
+    never, residual2 = dist.leakage_report
+    assert ens.p_detected_1 > 0.99 and np.all(dist.g_tau >= 0.0)
+    assert dist.stage2_grid_points == 1350
+    assert abs(dist.total_probability + never - 1.0) < 1e-3
+    if v0 < 0.0:
+        assert dist.total_probability < 0.01 and dist.boundary_loss > 0.95
+    else:
+        assert residual2 > 0.95
+
+
+def test_box_matches_a_periodic_grid_eight_times_as_long(particle):
+    # cesium at the reference dx and rate, with the detectors 40 um apart and
+    # 10 um long: stage 2's 2400-point box against detector 2 alone on a
+    # periodic grid of 8 x 4096 points, which nothing wraps round within
+    # tau_max. The 4096-point periodic grid misses std(G) by 6%
+    a = 2.3895e3
+
+    def detector(start):
+        return pl.DetectorSpec(profile=pl.RectangularProfile(start, start + 10e-6), decay_a=a)
+
+    cfg = pl.ExperimentConfig(
+        particle=particle,
+        packet=pl.GaussianPacketSpec(center_x0=0.0, sigma_x=1e-6, mean_velocity_v0=7.17e-3),
+        detector1=detector(0.0),
+        detector2=detector(40e-6),
+        grid=pl.build_grid(-30e-6, 85e-6, 4096),
+        dt=1e-6,
+        dt2=2e-5,
+        n_entry=64,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.RegimeWarning)
+        _, ens = pl.arrival_stage(cfg)
+        dist = pl.passage_distribution(cfg, ens)
+    span = passage._nonzero_span(ens.states)
+    assert dist.stage2_grid_points == passage._stage2_box(cfg, span)[0].n_points == 2400
+    weighted = np.sqrt(ens.weights)[:, None] * ens.states[:, span]
+    _, svals, vrows = np.linalg.svd(weighted, full_matrices=False)
+    keep = svals**2 > cfg.svd_keep * float(np.sum(svals**2))
+    n_steps = int(round(passage._auto_tau_max(cfg) / cfg.dt2))
+
+    def periodic(factor):
+        n = factor * cfg.grid.n_points
+        grid = pl.build_grid(cfg.grid.x_min, cfg.grid.x_min + n * cfg.grid.dx, n)
+        rows = np.zeros((int(np.count_nonzero(keep)), n), dtype=complex)
+        rows[:, span] = svals[keep, None] * vrows[keep]
+        pot = cfg.detector2.potential_field(grid)
+        kernel = propagator._kernel(grid, cfg.particle, pot, cfg.dt2)
+        steps, w1rows, _, _ = propagator._evolve_rows(kernel, rows, n_steps, cfg.tau_stride)
+        return passage._moments(steps * cfg.dt2, np.sum(w1rows, axis=0))
+
+    box = np.array([dist.total_probability, dist.mean_tau, dist.std_tau])
+    long = np.array(periodic(8))
+    assert np.all(np.abs(box / long - 1.0) <= 1e-4)
+    assert abs(periodic(1)[2] / long[2] - 1.0) > 0.03
 
 
 def test_entry_grid_refinement_invariance(toy_particle, toy_packet):

@@ -328,11 +328,56 @@ def test_stage2_final_norms_match_one_sample_at_a_time(cores, monkeypatch):
     # takes from them is checked through its leakage_report
     kernel, rows = _four_rows()
     monkeypatch.setattr(propagator, "_usable_cores", lambda: cores)
-    steps, w1, final = _evolve_rows(kernel, rows, 37, 5)
+    steps, w1, lost, final = _evolve_rows(kernel, rows, 37, 5)
     amps_ref, w1_ref, _, _ = _one_sample_at_a_time(kernel, rows, 37, 5)
     assert list(steps) == [0, 5, 10, 15, 20, 25, 30, 35, 37]
     assert _same_bytes(w1, w1_ref)
+    assert lost.shape == (len(rows), 0)  # no absorbing layer
     assert _same_bytes(final, amps_ref)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_absorbing_layer_counts_as_lost_not_detected(cores, monkeypatch):
+    # a layer right of the detector: its rate is in the step factors like
+    # the detector's, but the samples reduce it as the lost density, and w1
+    # reads the detector's rate alone, on any number of chunks
+    particle, grid, pot, rows = _detector_rows(4)
+    layer = np.zeros(grid.n_points)
+    layer[-14:] = 5e4 * np.linspace(0.0, 1.0, 14)
+    start = grid.n_points - 14
+    assert not np.any(pot.decay_rate[start:])
+    field = pl.ComplexPotentialField(grid, pot.decay_rate + layer, pot.real_shift)
+    plain = _kernel(grid, particle, field, 1e-6)
+    kernel = _kernel(grid, particle, field, 1e-6, layer_start=start)
+    assert kernel.detected == start - kernel.support.start
+    assert plain.detected == len(plain.decay)
+    monkeypatch.setattr(propagator, "_usable_cores", lambda: cores)
+    steps, w1, lost, final = _evolve_rows(kernel, rows, 37, 5)
+    _, w1_plain, lost_plain, final_plain = _evolve_rows(plain, rows, 37, 5)
+    assert lost_plain.shape == (len(rows), 0)
+    assert _same_bytes(final, final_plain)
+
+    on, dx, cut = kernel.support, kernel.dx, kernel.detected
+    amps = np.array(rows, dtype=complex)
+    w1_ref, lost_ref = [], []
+
+    def sample(closed_on):
+        dens = np.abs(closed_on) ** 2 * kernel.decay
+        w1_ref.append(np.sum(dens[:, :cut], axis=-1) * dx)
+        lost_ref.append(np.sum(dens[:, cut:], axis=-1) * dx)
+
+    sample(amps[:, on])
+    amps[:, on] *= kernel.vhalf
+    for s in range(1, 38):
+        amps = np.fft.ifft(np.fft.fft(amps, axis=-1) * kernel.kin, axis=-1)
+        if s % 5 == 0 or s == 37:
+            sample(amps[:, on] * kernel.vhalf)
+        if s < 37:
+            amps[:, on] *= kernel.vfull
+    assert _same_bytes(w1, np.array(w1_ref).T)
+    assert _same_bytes(lost, np.array(lost_ref).T)
+    assert np.all(lost > 0.0) and np.all(w1[:, -1] > 0.0)
+    assert np.allclose(w1 + lost, w1_plain, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("cores", [2, 3])
@@ -389,7 +434,7 @@ def test_failed_chunk_propagates_and_the_pool_recovers(cores, monkeypatch):
         time.sleep(0.2)
         assert len(started) == len(stopped) == cores
         assert max(stopped) < returned
-        _, w1, final = call_in_thread(rows)[0]
+        _, w1, _, final = call_in_thread(rows)[0]
     finally:
         propagator._pool().shutdown()
     amps_ref, w1_ref, _, _ = _one_sample_at_a_time(kernel, rows, 37, 5)
@@ -420,7 +465,7 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert len(out) == 2
-    for _, w1, final in out:
+    for _, w1, _, final in out:
         assert _same_bytes(w1, w1_ref)
         assert _same_bytes(final, amps_ref)
 
