@@ -47,9 +47,8 @@ from .discrete_oracle import (
 from .exceptions import ConfigError, ConvergenceError, PassageLabError, RegimeWarning
 from .passage import (
     ExperimentConfig,
-    _arrival_box,
+    _arrival_grid_points,
     _arrival_pass,
-    _detector1_window,
     _reset_row,
     arrival_stage,
     kijowski_distribution,
@@ -287,11 +286,6 @@ def _summary(out_dir: Path, name: str, conf: dict, payload: dict, warned: list[s
     path = out_dir / f"{name.replace('-', '_')}_summary.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def _arrival_grid_points(cfg: ExperimentConfig) -> int:
-    """Points of the grid detector 1's pass runs on: its box, or the grid."""
-    return _arrival_box(cfg, *_detector1_window(cfg))[0].n_points
 
 
 def _cmd_arrival(conf: dict, out: Path, args: argparse.Namespace) -> dict:

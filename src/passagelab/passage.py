@@ -12,8 +12,9 @@ sum: 256 entry times become 4-17 propagated states on the reference grid and
 9 at the 3 and 6.46 mm/s sweep points. The reset states vanish outside
 detector 1, so the matrix is decomposed on the span of its non-zero columns
 only; the zero columns change no singular value or vector. The kept rows
-are propagated on a run of the grid's points between the detectors that
-ends in an absorbing layer, so nothing wraps round the periodic grid.
+are propagated on a run of the grid's points from a margin left of those
+columns past detector 2 to an absorbing layer, its last points, which the
+step kernel takes as a count; so nothing wraps round the periodic grid.
 """
 from __future__ import annotations
 
@@ -80,18 +81,18 @@ _START_STEPS = 12
 # the mass beyond is 6e-16 (the tail gate's 1e-10 sits at 6.4 widths)
 _BOX_WIDTHS = 8.0
 # stage 2's box, in units of detector 2's length L2: the grid points from
-# _STAGE2_MARGIN L2 left of detector 1 to _STAGE2_MARGIN L2 right of detector
-# 2, then an absorbing layer of length L2 up to the box's periodic seam. The
-# layer's rate rises as a quadratic from 0 at each of its ends to its peak in
-# its middle: two ramps of L2 / 2 (Kosloff & Kosloff, J. Comput. Phys. 63,
-# 363, 1986), one facing right-movers past detector 2 and one facing
-# left-movers that cross the seam. Its peak is set so that a particle at the
-# packet's speed v keeps e^-_LAYER_DEPTH of its probability across one ramp:
-# 6 _LAYER_DEPTH v / L2, 1.0e5 1/s on the reference study. v is |v0|, or the
-# velocity spread hbar / (2 m sigma_x) when that is larger, so that a packet
-# at rest or moving left gets a layer too. Lengths
-# and rates both follow the problem's own scales, so its space-time scaling
-# symmetry holds through stage 2
+# _STAGE2_MARGIN L2 left of the reset states to _STAGE2_MARGIN L2 right of
+# detector 2, then an absorbing layer of length L2 up to the box's periodic
+# seam. The layer's rate rises as a quadratic from 0 at each of its ends to
+# its peak in its middle: two ramps of L2 / 2 (Kosloff & Kosloff, J. Comput.
+# Phys. 63, 363, 1986), one facing right-movers past detector 2 and one
+# facing left-movers that cross the seam. Its peak is set so that a particle
+# at the packet's speed v keeps e^-_LAYER_DEPTH of its probability across one
+# ramp: 6 _LAYER_DEPTH v / L2, 1.0e5 1/s on the reference study. v is |v0|,
+# or the velocity spread hbar / (2 m sigma_x) when that is larger, so that a
+# packet at rest or moving left gets a layer too. Lengths and rates both
+# follow the problem's own scales, so its space-time scaling symmetry holds
+# through stage 2
 _STAGE2_MARGIN = 0.25
 _LAYER_DEPTH = 46.5
 
@@ -102,8 +103,9 @@ class ExperimentConfig:
 
     Times left as None are derived: t_start places the packet center six
     spreading-widths left of detector 1, t_end1 lets the packet clear
-    detector 1, tau_max aims at capture, capped at the grid's wrap-around
-    time (see _auto_tau_max). dt2 (stage-2 step) defaults to dt.
+    detector 1, tau_max aims at capture, capped at 0.9 of the packet's time
+    once round the grid; stage 2 absorbs at its box's edge, so nothing wraps
+    and the cap only fixes the horizon (see _auto_tau_max). dt2 defaults to dt.
     """
 
     particle: ParticleSpec
@@ -172,7 +174,7 @@ class PassageDistribution:
     # mass stage 2's absorbing layer took: the trapezoid integral over tau of
     # its sampled loss density
     boundary_loss: float
-    stage2_grid_points: int  # points of the box stage 2 ran on (see _stage2_box)
+    stage2_grid_points: int  # points of the box stage 2 ran on (see _stage2_kernel)
 
 
 def _edge_crossing_time(
@@ -227,7 +229,7 @@ def _auto_tau_max(cfg: ExperimentConfig) -> float:
     want = 2.2 * cfg.distance_d / v0
     if cfg.detector2.decay_a > 0.0:
         want += 10.0 / cfg.detector2.decay_a
-    # transmitted mass wraps at x_max and re-approaches detector 2 from x_min
+    # once round the grid, from detector 2's edge to x_max and from x_min back
     wrap = 0.9 * ((g.x_max - a2) + (a2 - g.x_min)) / v0
     return min(want, wrap)
 
@@ -257,10 +259,19 @@ def _arrival_box(
     return _grid_run(grid, round((0.5 * (lo + hi) - grid.x_min) / dx) - m // 2, m)
 
 
+def _arrival_grid_points(cfg: ExperimentConfig) -> int:
+    """Points of the grid detector 1's pass runs on: its box, or the grid."""
+    return _arrival_box(cfg, *_detector1_window(cfg))[0].n_points
+
+
 def _grid_run(grid: SpatialGrid, j0: int, m: int) -> tuple[SpatialGrid, int]:
-    """The m points of grid from index j0, clamped to the grid, and the index
-    of their first point; the grid itself when m is not smaller than it."""
+    """A run of grid's points, as long as the smallest length from m up with
+    no prime factor above 5, that starts at j0 clamped to keep it inside the
+    grid, and the index of its first point; the grid itself when the run would
+    not be smaller."""
     n, dx = grid.n_points, grid.dx
+    while not _five_smooth(m):
+        m += 1
     if m >= n:
         return grid, 0
     j0 = int(min(max(j0, 0), n - m))
@@ -339,6 +350,12 @@ def _arrival_pass(
     """
     kernel, psi0, n_steps, support = _detector1_start(cfg)
     _, record, held = _conditional(kernel, psi0, n_steps, cfg.dt, hold)
+    _check_detection(record)
+    return record, held, support
+
+
+def _check_detection(record: DetectionRecord) -> None:
+    """Raise when detector 1's pass detected nothing, warn when too little."""
     p_detected = float(record.cumulative_detected[-1])
     if p_detected <= 0.0:
         raise NoDetectionError("detector 1 accumulated no detection probability")
@@ -347,9 +364,8 @@ def _arrival_pass(
             f"detector-1 detection probability {p_detected:.3f} < {_MIN_DETECTION}; "
             f"leakage {float(record.survival_p0[-1]):.3f} is not negligible",
             RegimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-    return record, held, support
 
 
 def _entry_steps(cfg: ExperimentConfig, record: DetectionRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -375,13 +391,15 @@ def _reset_states(cfg: ExperimentConfig, support: slice, held: np.ndarray) -> np
 
 def _reset_row(cfg: ExperimentConfig, at_time: float | None) -> tuple[float, np.ndarray]:
     """(T, sqrt(A) chi psi_cond(T)) at the entry T nearest at_time (default: the
-    w1 peak), propagated alone to T's step from the arrival pass's start state.
-    Its closed final state has the bits of the ensemble's row at T."""
-    record, _, _ = _arrival_pass(cfg)
+    w1 peak), propagated alone to T's step from the arrival pass's start state,
+    with the pass's own kernel. Its closed final state has the bits of the
+    ensemble's row at T."""
+    kernel, psi0, n_steps, support = _detector1_start(cfg)
+    _, record, _ = _conditional(kernel, psi0, n_steps, cfg.dt)
+    _check_detection(record)
     steps, entry_times = _entry_steps(cfg, record)
     want = peak_time(record) if at_time is None else at_time
     i = int(np.argmin(np.abs(entry_times - want)))
-    kernel, psi0, _, support = _detector1_start(cfg)
     step = int(steps[i])
     final = _evolve_rows(kernel, psi0.amplitudes[None, :], step, step)[-1]
     row = _reset_states(cfg, support, final[:, kernel.support])[0]
@@ -457,35 +475,27 @@ def _nonzero_span(states: np.ndarray) -> slice:
     return slice(nonzero[0], nonzero[-1] + 1)
 
 
-def _stage2_cells(cfg: ExperimentConfig) -> tuple[int, int]:
-    """Grid cells of stage 2's margin and absorbing layer (see _STAGE2_MARGIN),
-    a length within 1e-6 dx of a whole number of cells counting as that
-    number. The layer takes at least two, so that its rate is not all zero."""
-    p2, dx = cfg.detector2.profile, cfg.grid.dx
-    length = p2.b - p2.a
-    return ceil(_STAGE2_MARGIN * length / dx - 1e-6), max(ceil(length / dx - 1e-6), 2)
-
-
-def _stage2_box(cfg: ExperimentConfig, cols: slice) -> tuple[SpatialGrid, int]:
-    """The grid stage 2 runs on, and the index in cfg.grid of its first point.
+def _stage2_kernel(cfg: ExperimentConfig, cols: slice, dt2: float) -> tuple[_Kernel, int]:
+    """Stage 2's step kernel on its box, and the box's offset j0 in cfg.grid.
 
     cols is the span of the basis's non-zero columns in cfg.grid. The box is
-    the smallest run of cfg.grid's own points, with no prime factor above 5
-    in its length, that starts a margin left of detector 1's first point or
-    of cols, whichever is further left, and holds detector 2 and cols, the
-    margin, and one absorbing layer that ends at the box's last point (see
-    _STAGE2_MARGIN). dx is cfg.grid's. When no run is smaller than the grid,
-    the grid itself is returned; a ConfigError says when not even the grid
-    has room for the layer right of detector 2.
-    """
-    grid, p2 = cfg.grid, cfg.detector2.profile
+    `_grid_run`'s run of cfg.grid's points from a margin left of cols (or of
+    detector 2), or from the grid's first point, to a margin right of both,
+    then L absorbing points that end it (see _STAGE2_MARGIN), a length within
+    1e-6 dx of whole cells counting as that many and L >= 2. A ConfigError
+    says when the grid has no room for them. The potential is detector 2's, cut to the box, plus the layer's
+    rate peak (1 - |2 s - 1|)^2 at s = j / L on its j-th point: 0 at its first
+    point and at the seam after its last. Detector 1 is off."""
+    grid, p2, packet = cfg.grid, cfg.detector2.profile, cfg.packet
     n, dx = grid.n_points, grid.dx
-    on1 = np.flatnonzero(cfg.detector1.profile.chi(grid))
-    on2 = np.flatnonzero(p2.chi(grid))
+    pot = cfg.detector2.potential_field(grid)
+    on2 = np.flatnonzero(pot.decay_rate)
     if len(on2) == 0:
         raise GridError("detector 2 has no point on the grid")
-    margin, layer = _stage2_cells(cfg)
-    start = max(min(cols.start, on2[0], *on1[:1]) - margin, 0)
+    length = p2.b - p2.a
+    margin = ceil(_STAGE2_MARGIN * length / dx - 1e-6)
+    layer = max(ceil(length / dx - 1e-6), 2)
+    start = max(min(cols.start, on2[0]) - margin, 0)
     stop = max(cols.stop, on2[-1] + 1) + margin
     if stop + layer > n:
         raise ConfigError(
@@ -493,33 +503,16 @@ def _stage2_box(cfg: ExperimentConfig, cols: slice) -> tuple[SpatialGrid, int]:
             f"the reset states for its margin and absorbing layer, up to "
             f"{grid.x_min + (stop + layer) * dx} m; the grid ends at {grid.x_max} m"
         )
-    m = stop + layer - start
-    while not _five_smooth(m):
-        m += 1
-    return _grid_run(grid, start, m)
-
-
-def _stage2_kernel(cfg: ExperimentConfig, cols: slice, dt2: float) -> tuple[_Kernel, int]:
-    """Stage 2's step kernel on `_stage2_box`'s box, and the box's offset j0
-    in cfg.grid.
-
-    Its potential is detector 2's on cfg.grid, cut to the box, plus the
-    absorbing layer on the box's last L points: a rate of
-    peak (1 - |2 s - 1|)^2 at s = j / L on its j-th point, 0 at its first
-    point and at the seam after its last. Detector 1 is off."""
-    grid, p2, packet = cfg.grid, cfg.detector2.profile, cfg.packet
-    box, j0 = _stage2_box(cfg, cols)
-    m = box.n_points
-    pot = cfg.detector2.potential_field(grid)
-    decay = pot.decay_rate[j0 : j0 + m].copy()
-    _, layer = _stage2_cells(cfg)
+    box, j0 = _grid_run(grid, start, stop + layer - start)
+    on = slice(j0, j0 + box.n_points)
+    decay = pot.decay_rate[on].copy()
     spread = cfg.particle.hbar / (2.0 * cfg.particle.mass * packet.sigma_x)
     speed = max(abs(packet.mean_velocity_v0), spread)
-    peak = 6.0 * _LAYER_DEPTH * speed / (p2.b - p2.a)
+    peak = 6.0 * _LAYER_DEPTH * speed / length
     s = np.arange(layer) / layer
-    decay[m - layer :] = peak * (1.0 - np.abs(2.0 * s - 1.0)) ** 2
-    field = ComplexPotentialField(box, decay, pot.real_shift[j0 : j0 + m])
-    return _kernel(box, cfg.particle, field, dt2, layer_start=m - layer), j0
+    decay[-layer:] = peak * (1.0 - np.abs(2.0 * s - 1.0)) ** 2
+    field = ComplexPotentialField(box, decay, pot.real_shift[on])
+    return _kernel(box, cfg.particle, field, dt2, layer=layer), j0
 
 
 def passage_distribution(
@@ -541,7 +534,7 @@ def passage_distribution(
     norm-budget residual.
 
     G is a quantity on the infinite line. Stage 2 therefore runs on
-    `_stage2_box`'s run of the grid's points (5 400 of the 8 192 reference
+    `_stage2_kernel`'s run of the grid's points (5 400 of the 8 192 reference
     points), whose last points are an absorbing layer across its periodic
     seam: right-movers past detector 2 enter it from the left, and
     left-movers that leave the box's first point enter it through the seam.
@@ -549,6 +542,8 @@ def passage_distribution(
     layer's loss density next to w1; its trapezoid integral over tau is
     `boundary_loss`, and it counts as never detected.
     """
+    if cfg.detector2.decay_a == 0.0:
+        raise NoDetectionError("detector 2 has A = 0: no detection")
     grid = cfg.grid
     dt2 = cfg.dt2 if cfg.dt2 is not None else cfg.dt
     tau_max = cfg.tau_max if cfg.tau_max is not None else _auto_tau_max(cfg)

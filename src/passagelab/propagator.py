@@ -155,16 +155,17 @@ def _kernel(
     particle: ParticleSpec,
     pot: ComplexPotentialField,
     dt: float,
-    layer_start: int | None = None,
+    layer: int = 0,
 ) -> _Kernel:
-    """The step factors of pot on grid. With layer_start, the decay rate from
-    that grid index on absorbs without detecting: w1 reads the rate left of
-    it only, and the samples reduce the rest as the layer's loss density."""
+    """The step factors of pot on grid. The decay rate on the grid's last
+    `layer` points absorbs without detecting: w1 reads the rate left of them
+    only, and the samples reduce the rest as the layer's loss density."""
     nonzero = np.flatnonzero((pot.decay_rate != 0.0) | (pot.real_shift != 0.0))
     support = slice(nonzero[0], nonzero[-1] + 1) if len(nonzero) else slice(0, 0)
     vhalf = _potential_half_factor(pot, dt)[support]
     decay = pot.decay_rate[support]
-    detected = len(decay) if layer_start is None else layer_start - support.start
+    first_lost = min(support.stop, grid.n_points - layer)
+    detected = max(first_lost - support.start, 0)
     return _Kernel(
         kin=_kinetic_factor(grid, particle, dt),
         support=support,

@@ -313,6 +313,17 @@ def test_passage_subcommand_toy(tmp_path, toy_yaml):
     assert any("tau grid captures" in w for w in doc["warnings"])
 
 
+def test_passage_with_detector2_off_exits_2(tmp_path, capsys):
+    conf = yaml.safe_load(TOY_YAML)
+    conf["detector2"]["decay_rate"] = 0
+    p = tmp_path / "off.yaml"
+    p.write_text(yaml.safe_dump(conf))
+    out = tmp_path / "out"
+    assert cli_io.main(["passage", "--config", str(p), "--out", str(out)]) == 2
+    assert "detector 2 has A = 0: no detection" in capsys.readouterr().err
+    assert not (out / "passage.csv").exists()
+
+
 def test_arrival_grid_points_come_without_a_kernel_or_a_state(monkeypatch):
     # the summary's arrival box size is read from the box alone
     cfg = cli_io.build_experiment(cli_io._merge(cli_io.SCHEMA, yaml.safe_load(TOY_YAML)))

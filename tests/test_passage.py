@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import passagelab as pl
 from passagelab import passage, propagator
-from passagelab.core import HBAR
+from passagelab.core import HBAR, _five_smooth
 
 from conftest import TOY_V0, toy_config
 
@@ -118,6 +120,43 @@ def test_arrival_stage_propagates_once(toy_particle, toy_packet, monkeypatch):
     monkeypatch.setattr(passage, "_evolve_batch", counting, raising=False)
     record, _ = pl.arrival_stage(toy_config(toy_particle, toy_packet))
     assert calls == [len(record.times) - 1]
+
+
+def test_reset_row_sets_up_detector1_once(toy_particle, toy_packet, monkeypatch):
+    # the row starts from the record pass's own kernel and state: one set-up,
+    # then the pass and the row's run
+    starts, calls = [], []
+    start, evolve = passage._detector1_start, propagator._evolve_batch
+
+    def counting_start(cfg):
+        starts.append(cfg)
+        return start(cfg)
+
+    def counting(kernel, batch):
+        calls.append(batch.n_steps)
+        evolve(kernel, batch)
+
+    monkeypatch.setattr(passage, "_detector1_start", counting_start)
+    monkeypatch.setattr(propagator, "_evolve_batch", counting)
+    cfg = toy_config(toy_particle, toy_packet)
+    passage._reset_row(cfg, None)
+    assert len(starts) == 1
+    assert len(calls) == 2 and 0 < calls[1] <= calls[0]
+
+
+def test_switched_off_detector2_raises_before_any_propagation(
+    toy_particle, toy_packet, monkeypatch
+):
+    # with A = 0 only the absorbing layer would absorb: no detection to report
+    off = pl.DetectorSpec(profile=pl.RectangularProfile(100e-6, 120e-6), decay_a=0.0)
+    cfg = toy_config(toy_particle, toy_packet, detector2=off)
+    monkeypatch.setattr(propagator, "_evolve_batch", _refuse_to_propagate)
+    with pytest.raises(pl.NoDetectionError, match="detector 2 has A = 0"):
+        pl.passage_distribution(cfg)
+
+
+def _refuse_to_propagate(*args, **kwargs):
+    raise AssertionError("propagated")
 
 
 def test_ensemble_bookkeeping(toy_run):
@@ -310,16 +349,15 @@ def test_stage2_box_on_the_reference_grid(particle):
         detector2=pl.DetectorSpec(profile=pl.RectangularProfile(100e-6, 120e-6), decay_a=2e3),
     )
     grid, dx = cfg.grid, cfg.grid.dx
-    box, j0 = passage._stage2_box(cfg, _detector1_cols(cfg))
-    m = box.n_points
+    kernel, j0 = passage._stage2_kernel(cfg, _detector1_cols(cfg), 2e-5)
+    m = len(kernel.kin)
     assert (m, j0) == (5400, 890)
     assert all(passage._five_smooth(n) == (n == 5400) for n in range(5345, 5401))
-    assert np.allclose(box.x, grid.x[j0 : j0 + m], rtol=0.0, atol=1e-9 * dx)
-    assert box.x_min <= -5e-6 < box.x_min + dx
-    kernel, j1 = passage._stage2_kernel(cfg, _detector1_cols(cfg), 2e-5)
+    assert kernel.dx == pytest.approx(dx, rel=1e-12)
+    assert grid.x[j0] <= -5e-6 < grid.x[j0] + dx
     on2 = np.flatnonzero(cfg.detector2.profile.chi(grid)) - j0
     layer = m - kernel.support.start - kernel.detected
-    assert j1 == j0 and kernel.support == slice(on2[0], m)
+    assert kernel.support == slice(on2[0], m)
     assert layer == 713 and np.all(kernel.decay[: on2[-1] + 1 - on2[0]] == 2e3)
     assert np.all(kernel.decay[on2[-1] + 1 - on2[0] : -layer] == 0.0)
     rate = kernel.decay[-layer:]
@@ -330,10 +368,49 @@ def test_stage2_box_on_the_reference_grid(particle):
 
 def test_stage2_box_is_the_grid_or_raises_without_room(toy_particle, toy_packet):
     tight = toy_config(toy_particle, toy_packet, grid=pl.build_grid(14e-6, 146e-6, 1350))
-    assert passage._stage2_box(tight, _detector1_cols(tight)) == (tight.grid, 0)
+    kernel, j0 = passage._stage2_kernel(tight, _detector1_cols(tight), tight.dt)
+    assert (len(kernel.kin), j0) == (tight.grid.n_points, 0)
     short = toy_config(toy_particle, toy_packet, grid=pl.build_grid(-40e-6, 140e-6, 2048))
     with pytest.raises(pl.ConfigError, match="absorbing layer.*grid ends at 0.00014 m"):
-        passage._stage2_box(short, _detector1_cols(short))
+        passage._stage2_kernel(short, _detector1_cols(short), short.dt)
+
+
+def test_stage2_box_margin_stops_at_the_grids_first_point(toy_particle, toy_packet):
+    # the grid starts 2 um left of detector 1, inside the 5 um margin: the box
+    # takes the grid's first 1 077 points (to the layer's end), rounded up to
+    # 1 080, not a length counted from 26 points left of the grid (1 125)
+    cfg = toy_config(toy_particle, toy_packet, grid=pl.build_grid(18e-6, 260e-6, 2048))
+    kernel, j0 = passage._stage2_kernel(cfg, _detector1_cols(cfg), cfg.dt)
+    assert (len(kernel.kin), j0) == (1080, 0)
+
+
+_SMOOTH = [k for k in range(2, 8193) if _five_smooth(k)]
+
+
+@given(n=st.sampled_from(_SMOOTH), j0=st.integers(-9000, 9000), m=st.integers(2, 9000))
+@example(n=8192, j0=3000, m=2048)
+@example(n=1024, j0=-40, m=512)
+@example(n=2048, j0=1500, m=1024)
+@example(n=8192, j0=890, m=5345)
+def test_grid_run_is_the_smallest_five_smooth_run_inside_the_grid(n, j0, m):
+    grid = pl.build_grid(-1e-6, 1e-6, n)
+    run, j1 = passage._grid_run(grid, j0, m)
+    size = run.n_points
+    # the smallest length from m up with no prime factor above 5; a power of
+    # two keeps its length, so the arrival boxes' sizes stay as they are
+    want = next(k for k in range(m, 2 * m + 1) if _five_smooth(k))
+    if m & (m - 1) == 0:
+        assert want == m
+    if want >= n:
+        assert run is grid and j1 == 0
+        return
+    assert size == want
+    # inside the grid, clamped at both ends, holding every requested index
+    # the grid has
+    assert j1 == min(max(j0, 0), n - size)
+    assert max(j0, 0) >= j1 and min(j0 + m, n) <= j1 + size
+    assert run.dx == pytest.approx(grid.dx, rel=1e-12)
+    assert np.allclose(run.x, grid.x[j1 : j1 + size], rtol=0.0, atol=1e-9 * grid.dx)
 
 
 def test_probability_closes_with_the_boundary_loss(toy_run):
@@ -400,7 +477,8 @@ def test_box_matches_a_periodic_grid_eight_times_as_long(particle):
         _, ens = pl.arrival_stage(cfg)
         dist = pl.passage_distribution(cfg, ens)
     span = passage._nonzero_span(ens.states)
-    assert dist.stage2_grid_points == passage._stage2_box(cfg, span)[0].n_points == 2400
+    kernel, _ = passage._stage2_kernel(cfg, span, cfg.dt2)
+    assert dist.stage2_grid_points == len(kernel.kin) == 2400
     weighted = np.sqrt(ens.weights)[:, None] * ens.states[:, span]
     _, svals, vrows = np.linalg.svd(weighted, full_matrices=False)
     keep = svals**2 > cfg.svd_keep * float(np.sum(svals**2))

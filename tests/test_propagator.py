@@ -348,7 +348,7 @@ def test_absorbing_layer_counts_as_lost_not_detected(cores, monkeypatch):
     assert not np.any(pot.decay_rate[start:])
     field = pl.ComplexPotentialField(grid, pot.decay_rate + layer, pot.real_shift)
     plain = _kernel(grid, particle, field, 1e-6)
-    kernel = _kernel(grid, particle, field, 1e-6, layer_start=start)
+    kernel = _kernel(grid, particle, field, 1e-6, layer=14)
     assert kernel.detected == start - kernel.support.start
     assert plain.detected == len(plain.decay)
     monkeypatch.setattr(propagator, "_usable_cores", lambda: cores)
@@ -378,6 +378,23 @@ def test_absorbing_layer_counts_as_lost_not_detected(cores, monkeypatch):
     assert _same_bytes(lost, np.array(lost_ref).T)
     assert np.all(lost > 0.0) and np.all(w1[:, -1] > 0.0)
     assert np.allclose(w1 + lost, w1_plain, rtol=1e-13, atol=0.0)
+
+
+def test_layer_alone_detects_nothing():
+    # a layer whose first point has rate 0 and no detector: the kernel's span
+    # starts inside the layer, so no point of it is detected, and the whole
+    # absorption is the layer's loss
+    particle, grid, _, rows = _detector_rows(2)
+    decay = np.zeros(grid.n_points)
+    decay[-14:] = 5e4 * np.linspace(0.0, 1.0, 14)
+    field = pl.ComplexPotentialField(grid, decay, np.zeros(grid.n_points))
+    kernel = _kernel(grid, particle, field, 1e-6, layer=14)
+    assert kernel.support == slice(grid.n_points - 13, grid.n_points)
+    assert kernel.detected == 0
+    _, w1, lost, _ = _evolve_rows(kernel, rows, 37, 5)
+    _, w1_plain, _, _ = _evolve_rows(_kernel(grid, particle, field, 1e-6), rows, 37, 5)
+    assert np.all(w1 == 0.0) and np.all(lost > 0.0)
+    assert _same_bytes(lost, w1_plain)
 
 
 @pytest.mark.parametrize("cores", [2, 3])
