@@ -80,6 +80,13 @@ def _five_smooth(n: int) -> bool:
     return n == 1
 
 
+def _five_smooth_from(m: int) -> int:
+    """The smallest n >= m >= 1 with no prime factor above 5."""
+    while not _five_smooth(m):
+        m += 1
+    return m
+
+
 def _block_rows(n_cols: int) -> int:
     """Rows of n_cols complex values that fit one _BLOCK_BYTES block."""
     return max(1, _BLOCK_BYTES // (16 * n_cols))

@@ -12,9 +12,12 @@ sum: 256 entry times become 4-17 propagated states on the reference grid and
 9 at the 3 and 6.46 mm/s sweep points. The reset states vanish outside
 detector 1, so the matrix is decomposed on the span of its non-zero columns
 only; the zero columns change no singular value or vector. The kept rows
-are propagated on a run of the grid's points from a margin left of those
-columns past detector 2 to an absorbing layer, its last points, which the
-step kernel takes as a count; so nothing wraps round the periodic grid.
+are propagated on a run of cells at the grid's dx from a margin left of
+those columns past detector 2 to an absorbing layer, its last points, which
+the step kernel takes as a count; so nothing wraps round. Each stage's box is
+sized by the stage alone and may reach past either end of the grid, which
+fixes only dx and the points where results are reported, and must hold both
+detectors.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .core import (
     _block_rows,
     _check_count,
     _check_positive,
-    _five_smooth,
+    _five_smooth_from,
     _interpolation_nodes,
     _lagrange_rows,
     _product,
@@ -76,11 +79,15 @@ _ENTRY_WINDOW = (5e-4, 0.9995)
 # the entry-grid snapping that the half-step tests were measured on
 _CROSSING_STEPS = 10_000
 _START_STEPS = 12
-# detector 1's pass keeps the grid points within this many spreading widths
-# of the free packet's path: there its amplitude is 1.1e-7 of its peak and
-# the mass beyond is 6e-16 (the tail gate's 1e-10 sits at 6.4 widths)
+# detector 1's pass keeps the points within this many spreading widths of
+# the free packet's path: there its amplitude is 1.1e-7 of its peak and the
+# mass beyond is 6e-16 (the tail gate's 1e-10 sits at 6.4 widths). The seam
+# error is linear in that amplitude, so the box keeps a power-of-two length as
+# an accuracy margin: against a full-grid pass on the reference grid, a 1 920-
+# point box moves w1 by 1.7e-7 (fast) and 6.4e-10 (int) of its peak, at the
+# window's last sample, and the 2 048-point box by 2.6e-12 and 2.6e-11
 _BOX_WIDTHS = 8.0
-# stage 2's box, in units of detector 2's length L2: the grid points from
+# stage 2's box, in units of detector 2's length L2: the points from
 # _STAGE2_MARGIN L2 left of the reset states to _STAGE2_MARGIN L2 right of
 # detector 2, then an absorbing layer of length L2 up to the box's periodic
 # seam. The layer's rate rises as a quadratic from 0 at each of its ends to
@@ -106,6 +113,8 @@ class ExperimentConfig:
     detector 1, tau_max aims at capture, capped at 0.9 of the packet's time
     once round the grid; stage 2 absorbs at its box's edge, so nothing wraps
     and the cap only fixes the horizon (see _auto_tau_max). dt2 defaults to dt.
+    Each stage runs on its own box at the grid's dx, which may reach past the
+    grid's ends, so the grid need only hold both detectors.
     """
 
     particle: ParticleSpec
@@ -134,6 +143,13 @@ class ExperimentConfig:
             raise ConfigError("detector 2 must start downstream of detector 1")
         if p1.b > p2.a:
             raise ConfigError("detector extents must be disjoint")
+        g, tol = self.grid, 1e-6 * self.grid.dx  # chi's tolerance at an edge
+        for name, p in (("detector 1", p1), ("detector 2", p2)):
+            if p.a < g.x_min - tol or p.b > g.x_max + tol:
+                raise ConfigError(
+                    f"{name} [{p.a:.6g}, {p.b:.6g}] m must lie within the grid "
+                    f"[{g.x_min:.6g}, {g.x_max:.6g}] m"
+                )
         for name in ("dt", "dt2", "tau_max"):
             if getattr(self, name) is not None:
                 _check_positive(**{name: getattr(self, name)})
@@ -219,34 +235,34 @@ def _auto_tau_max(cfg: ExperimentConfig) -> float:
 
     Stage 2 runs on a box with an absorbing layer, so nothing wraps round any
     more; the cap only fixes the horizon, and with it every std(G) over
-    [0, tau_max], until a horizon-robust width replaces it.
+    [0, tau_max], until a horizon-robust width replaces it. It is the one
+    place where the grid's extent, not just its dx and points, enters a
+    result.
     """
     v0 = cfg.packet.mean_velocity_v0
     if v0 <= 0.0:
         raise ConfigError("auto tau_max needs a positive mean velocity")
-    a2 = cfg.detector2.profile.a
     g = cfg.grid
     want = 2.2 * cfg.distance_d / v0
     if cfg.detector2.decay_a > 0.0:
         want += 10.0 / cfg.detector2.decay_a
-    # once round the grid, from detector 2's edge to x_max and from x_min back
-    wrap = 0.9 * ((g.x_max - a2) + (a2 - g.x_min)) / v0
+    wrap = 0.9 * (g.x_max - g.x_min) / v0
     return min(want, wrap)
 
 
 def _arrival_box(
     cfg: ExperimentConfig, t_start: float, t_end: float
 ) -> tuple[SpatialGrid, int]:
-    """The grid detector 1's pass runs on, and the index in cfg.grid of its
-    first point.
+    """The box detector 1's pass runs on, and the index j0 of its first point
+    among cfg.grid's points.
 
-    The box is the smallest power-of-two run of cfg.grid's own points that
+    The box is the smallest power-of-two run of cells at cfg.grid's dx that
     holds [lo, hi]: detector 1, widened by a cell so that rounding the box's
     centre cannot cut its edge point, and the free packet's centre +- 8
     spreading widths at t_start and t_end. The centre moves at v0 and the
     width is convex in t, so the path's extremes over the window sit at its
-    ends. The box is centred on [lo, hi] and clamped to the grid; when it would
-    not be smaller than the grid, the grid itself is returned.
+    ends. The box is centred on [lo, hi], on the grid's points, and may reach
+    past either end of the grid (j0 < 0 or j0 + its length > n_points).
     """
     grid, packet, particle = cfg.grid, cfg.packet, cfg.particle
     dx = grid.dx
@@ -256,26 +272,21 @@ def _arrival_box(
         reach = _BOX_WIDTHS * free_sigma_x(packet, particle, t)
         lo, hi = min(lo, centre - reach), max(hi, centre + reach)
     m = 2 ** ceil(log2((hi - lo) / dx))
-    return _grid_run(grid, round((0.5 * (lo + hi) - grid.x_min) / dx) - m // 2, m)
+    j0 = round((0.5 * (lo + hi) - grid.x_min) / dx) - m // 2
+    return _grid_run(grid, j0, m), j0
 
 
 def _arrival_grid_points(cfg: ExperimentConfig) -> int:
-    """Points of the grid detector 1's pass runs on: its box, or the grid."""
+    """Points of the box detector 1's pass runs on."""
     return _arrival_box(cfg, *_detector1_window(cfg))[0].n_points
 
 
-def _grid_run(grid: SpatialGrid, j0: int, m: int) -> tuple[SpatialGrid, int]:
-    """A run of grid's points, as long as the smallest length from m up with
-    no prime factor above 5, that starts at j0 clamped to keep it inside the
-    grid, and the index of its first point; the grid itself when the run would
-    not be smaller."""
-    n, dx = grid.n_points, grid.dx
-    while not _five_smooth(m):
-        m += 1
-    if m >= n:
-        return grid, 0
-    j0 = int(min(max(j0, 0), n - m))
-    return build_grid(grid.x_min + j0 * dx, grid.x_min + (j0 + m) * dx, m), j0
+def _grid_run(grid: SpatialGrid, j0: int, m: int) -> SpatialGrid:
+    """The run of cells at grid's dx from grid's point j0 (which may lie past
+    either end of grid), as many as the smallest number from m up with no
+    prime factor above 5."""
+    m, dx = _five_smooth_from(m), grid.dx
+    return build_grid(grid.x_min + j0 * dx, grid.x_min + (j0 + m) * dx, m)
 
 
 def _detector1_window(cfg: ExperimentConfig) -> tuple[float, float]:
@@ -301,21 +312,21 @@ def _detector1_start(
     start state on the pass's grid, the number of steps that cross the
     window, and the kernel's support in cfg.grid's indices.
 
-    The pass runs on `_arrival_box`'s run of the grid's points, which holds
-    detector 1 and the packet's path out to 8 spreading widths (2048 of the
-    8192 reference points, 512 of 1024 at the 3 mm/s sweep point), with dx
-    and dt kept. The box's potential is the grid's, cut to the box, so the
-    kernel's factors and the held slices have the grid's bits on detector
-    1's support, shifted by the box's offset. The packet is periodic on the
-    box instead of the grid; against the full grid this moves the reset
-    states by at most 1.8e-8 of their largest amplitude, G by 2.3e-9 of its
-    peak and std(G) by 4.1e-11 relative at the reference rates, and leaves
-    the entry times' bits and the kept ranks as they are.
+    The pass runs on `_arrival_box`'s box, which holds detector 1 and the
+    packet's path out to 8 spreading widths (2048 points on the reference
+    grid, 512 at the 3 mm/s sweep point) and may reach past the grid's ends,
+    with dx and dt kept. Detector 1, evaluated on the box, has the grid's
+    points shifted by j0, so its support maps back onto the grid. The packet
+    is periodic on the box instead of the grid; against the full reference
+    grid this moves the reset states by at most 1.8e-8 of their largest
+    amplitude, G by 2.3e-9 of its peak and std(G) by 4.1e-11 relative at the
+    reference rates, and leaves the entry times' bits and the kept ranks as
+    they are.
     """
     det1 = cfg.detector1
     if det1.decay_a == 0.0:
         raise NoDetectionError("detector 1 has A = 0: no detection")
-    particle, grid, packet = cfg.particle, cfg.grid, cfg.packet
+    particle, packet = cfg.particle, cfg.packet
     t_start, t_end = _detector1_window(cfg)
     n_steps = int(round((t_end - t_start) / cfg.dt))
     if n_steps < 1:
@@ -323,18 +334,7 @@ def _detector1_start(
             f"detection window {t_end - t_start:.3e} s is shorter than one step"
         )
     box, j0 = _arrival_box(cfg, t_start, t_end)
-    pot = det1.potential_field(grid)
-    on = slice(j0, j0 + box.n_points)
-    active = (pot.decay_rate != 0.0) | (pot.real_shift != 0.0)
-    # so the kernel's support is the grid's, offset by j0
-    if np.count_nonzero(active[on]) != np.count_nonzero(active):
-        raise GridError(f"detector 1 reaches outside its pass's box {on}")
-    kernel = _kernel(
-        box,
-        particle,
-        ComplexPotentialField(box, pot.decay_rate[on], pot.real_shift[on]),
-        cfg.dt,
-    )
+    kernel = _kernel(box, particle, det1.potential_field(box), cfg.dt)
     support = slice(kernel.support.start + j0, kernel.support.stop + j0)
     return kernel, gaussian_free_state(packet, particle, t_start, box), n_steps, support
 
@@ -476,42 +476,36 @@ def _nonzero_span(states: np.ndarray) -> slice:
 
 
 def _stage2_kernel(cfg: ExperimentConfig, cols: slice, dt2: float) -> tuple[_Kernel, int]:
-    """Stage 2's step kernel on its box, and the box's offset j0 in cfg.grid.
+    """Stage 2's step kernel on its box, and the index j0 of the box's first
+    point among cfg.grid's points.
 
     cols is the span of the basis's non-zero columns in cfg.grid. The box is
-    `_grid_run`'s run of cfg.grid's points from a margin left of cols (or of
-    detector 2), or from the grid's first point, to a margin right of both,
-    then L absorbing points that end it (see _STAGE2_MARGIN), a length within
-    1e-6 dx of whole cells counting as that many and L >= 2. A ConfigError
-    says when the grid has no room for them. The potential is detector 2's, cut to the box, plus the layer's
-    rate peak (1 - |2 s - 1|)^2 at s = j / L on its j-th point: 0 at its first
+    `_grid_run`'s run of cells from a margin left of cols (or of detector 2)
+    to a margin right of both, then L absorbing points that end it (see
+    _STAGE2_MARGIN), a length within 1e-6 dx of whole cells counting as that
+    many and L >= 2; it may reach past either end of the grid. The potential
+    is detector 2's, evaluated on the box, plus the layer's rate
+    peak (1 - |2 s - 1|)^2 at s = j / L on its j-th point: 0 at its first
     point and at the seam after its last. Detector 1 is off."""
-    grid, p2, packet = cfg.grid, cfg.detector2.profile, cfg.packet
-    n, dx = grid.n_points, grid.dx
-    pot = cfg.detector2.potential_field(grid)
-    on2 = np.flatnonzero(pot.decay_rate)
+    grid, det2, packet = cfg.grid, cfg.detector2, cfg.packet
+    dx = grid.dx
+    on2 = np.flatnonzero(det2.profile.chi(grid))
     if len(on2) == 0:
         raise GridError("detector 2 has no point on the grid")
-    length = p2.b - p2.a
+    length = det2.profile.b - det2.profile.a
     margin = ceil(_STAGE2_MARGIN * length / dx - 1e-6)
     layer = max(ceil(length / dx - 1e-6), 2)
-    start = max(min(cols.start, on2[0]) - margin, 0)
-    stop = max(cols.stop, on2[-1] + 1) + margin
-    if stop + layer > n:
-        raise ConfigError(
-            f"stage 2 needs {margin + layer} grid points right of detector 2 and "
-            f"the reset states for its margin and absorbing layer, up to "
-            f"{grid.x_min + (stop + layer) * dx} m; the grid ends at {grid.x_max} m"
-        )
-    box, j0 = _grid_run(grid, start, stop + layer - start)
-    on = slice(j0, j0 + box.n_points)
-    decay = pot.decay_rate[on].copy()
+    j0 = int(min(cols.start, on2[0])) - margin
+    stop = int(max(cols.stop, on2[-1] + 1)) + margin
+    box = _grid_run(grid, j0, stop + layer - j0)
+    pot = det2.potential_field(box)
+    decay = pot.decay_rate.copy()
     spread = cfg.particle.hbar / (2.0 * cfg.particle.mass * packet.sigma_x)
     speed = max(abs(packet.mean_velocity_v0), spread)
     peak = 6.0 * _LAYER_DEPTH * speed / length
     s = np.arange(layer) / layer
     decay[-layer:] = peak * (1.0 - np.abs(2.0 * s - 1.0)) ** 2
-    field = ComplexPotentialField(box, decay, pot.real_shift[on])
+    field = ComplexPotentialField(box, decay, pot.real_shift)
     return _kernel(box, cfg.particle, field, dt2, layer=layer), j0
 
 
@@ -534,8 +528,8 @@ def passage_distribution(
     norm-budget residual.
 
     G is a quantity on the infinite line. Stage 2 therefore runs on
-    `_stage2_kernel`'s run of the grid's points (5 400 of the 8 192 reference
-    points), whose last points are an absorbing layer across its periodic
+    `_stage2_kernel`'s box (5 400 points on the 8 192-point reference grid),
+    whose last points are an absorbing layer across its periodic
     seam: right-movers past detector 2 enter it from the left, and
     left-movers that leave the box's first point enter it through the seam.
     So no mass wraps round to be detected again. Each sample reduces the

@@ -18,8 +18,8 @@ from .core import (
     GaussianPacketSpec,
     ParticleSpec,
     _check_positive,
+    _five_smooth_from,
     build_grid,
-    free_sigma_x,
 )
 from .detector import DetectorSpec, RectangularProfile
 from .exceptions import ConfigError, ConvergenceError
@@ -27,7 +27,6 @@ from .passage import (
     ExperimentConfig,
     ResetEnsemble,
     _arrival_pass,
-    _edge_crossing_time,
     _moments,
     arrival_stage,
     passage_distribution,
@@ -131,7 +130,9 @@ def sweep_point_config(
     """Per-velocity experiment with optimal packet width, rate, and geometry.
 
     Detector length is 4 L(v0) so undetected transmission stays small at every
-    v0; the grid scales with the packet's wavenumber.
+    v0. dx resolves the packet's wavenumber and divides d; the grid is [0, n dx],
+    n the smallest 5-smooth number of cells that holds both detectors, since
+    each stage's box reaches past it as far as the stage needs.
 
     Both steps come from the plan's own width: stage 2 steps dt2 =
     delta_tau_opt / 56 and samples G at every step (tau_stride = 1), and the
@@ -147,20 +148,15 @@ def sweep_point_config(
     packet = GaussianPacketSpec(
         center_x0=0.0, sigma_x=plan.delta_x_opt, mean_velocity_v0=v0
     )
-    # start position after the six-spreading-widths rule, with tail room
-    t_start = _edge_crossing_time(packet, particle, 0.0, -1.0)
-    sig = free_sigma_x(packet, particle, t_start)
     sigma_v = particle.hbar / (2.0 * particle.mass * plan.delta_x_opt)
     k_need = particle.mass * max(2.0 * v0, v0 + 15.0 * sigma_v) / particle.hbar
     # snap all sharp detector edges onto grid points (and keep them there
     # under 2n refinement) so the sampled geometry, not its aliasing, is
-    # what converges; dx divides d exactly and x_lo is a multiple of dx
+    # what converges; dx divides d exactly and the grid starts at detector 1
     dx = d / np.ceil(d * k_need / np.pi)
     det_len = max(1.0, np.round(4.0 * plan.detection_length_l / dx)) * dx
-    x_lo = -np.ceil(-(v0 * t_start - 8.0 * sig) / dx) * dx
-    span = (d + det_len + 40e-6) - x_lo
-    n = max(1024, 2 ** int(np.ceil(np.log2(span / dx))))
-    grid = build_grid(x_lo, x_lo + n * dx, n)
+    n = _five_smooth_from(round((d + det_len) / dx))
+    grid = build_grid(0.0, n * dx, n)
     det1 = DetectorSpec(
         profile=RectangularProfile(0.0, det_len), decay_a=plan.a_opt
     )

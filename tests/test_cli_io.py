@@ -278,8 +278,9 @@ def test_arrival_subcommand_toy(tmp_path, toy_yaml):
     assert res["arrival_grid_points"] == 1024
 
 
-def test_arrival_grid_points_is_the_grid_when_no_box_is_smaller(tmp_path):
-    # the same path on 2048 points over 200 um spans more than half of them
+def test_arrival_box_reaches_past_the_grid_when_the_path_exceeds_half_of_it(tmp_path):
+    # the same path on 2048 points over 200 um spans more than half of them:
+    # the box has 2048 points, and starts left of the grid
     conf = yaml.safe_load(TOY_YAML)
     conf["grid"]["x_max"] = "160 um"
     p = tmp_path / "short.yaml"
@@ -321,6 +322,18 @@ def test_passage_with_detector2_off_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_io.main(["passage", "--config", str(p), "--out", str(out)]) == 2
     assert "detector 2 has A = 0: no detection" in capsys.readouterr().err
+    assert not (out / "passage.csv").exists()
+
+
+def test_detector_past_the_grid_exits_2(tmp_path, capsys):
+    conf = yaml.safe_load(TOY_YAML)
+    conf["detector2"]["stop"] = "270 um"
+    p = tmp_path / "past.yaml"
+    p.write_text(yaml.safe_dump(conf))
+    out = tmp_path / "out"
+    assert cli_io.main(["passage", "--config", str(p), "--out", str(out)]) == 2
+    message = "detector 2 [0.0001, 0.00027] m must lie within the grid [-4e-05, 0.00026] m"
+    assert message in capsys.readouterr().err
     assert not (out / "passage.csv").exists()
 
 

@@ -45,6 +45,20 @@ def test_config_requires_downstream_disjoint_detectors(toy_particle, toy_packet)
         )
 
 
+def test_config_requires_detectors_on_the_grid(toy_particle, toy_packet):
+    # the reset states are reported on the grid [-40, 160] um; an edge on its
+    # end is on it
+    toy_config(
+        toy_particle,
+        toy_packet,
+        detector2=pl.DetectorSpec(profile=pl.RectangularProfile(140e-6, 160e-6), decay_a=2e4),
+    )
+    for key, a, b in (("detector1", -50e-6, -30e-6), ("detector2", 150e-6, 170e-6)):
+        det = pl.DetectorSpec(profile=pl.RectangularProfile(a, b), decay_a=2e4)
+        with pytest.raises(pl.ConfigError, match=f"detector {key[-1]} .* must lie within the grid"):
+            toy_config(toy_particle, toy_packet, **{key: det})
+
+
 def test_config_scalar_validation(toy_particle, toy_packet):
     with pytest.raises(pl.ConfigError):
         toy_config(toy_particle, toy_packet, dt=0.0)
@@ -174,18 +188,23 @@ def test_ensemble_bookkeeping(toy_run):
 
 
 def test_ensemble_states_are_reset_conditional_states(toy_run):
-    # each row is reset() applied to the conditional state evolved to its entry time
+    # each row is reset() applied to the conditional state evolved to its entry
+    # time on the pass's box, put back on the grid at the box's offset
     cfg, ens = toy_run["cfg"], toy_run["ensemble"]
     det1 = cfg.detector1
-    pot = det1.potential_field(cfg.grid)
-    psi0 = pl.gaussian_free_state(
-        cfg.packet, cfg.particle, toy_run["record"].times[0], cfg.grid
-    )
+    box, j0 = _box_offset(cfg)
+    pot = det1.potential_field(box)
+    psi0 = pl.gaussian_free_state(cfg.packet, cfg.particle, toy_run["record"].times[0], box)
+    n = cfg.grid.n_points
+    lo, hi = max(j0, 0), min(j0 + box.n_points, n)
     for i in (0, len(ens.entry_times) // 2, len(ens.entry_times) - 1):
-        psi, _ = pl.evolve_conditional(
-            psi0, pot, cfg.particle, ens.entry_times[i], cfg.dt
-        )
-        assert np.array_equal(ens.states[i], pl.reset(psi, det1).amplitudes)
+        psi, _ = pl.evolve_conditional(psi0, pot, cfg.particle, ens.entry_times[i], cfg.dt)
+        amps = pl.reset(psi, det1).amplitudes
+        row = np.zeros(n, dtype=complex)
+        row[lo:hi] = amps[lo - j0 : hi - j0]
+        # the box's part off the grid holds no reset amplitude
+        assert not np.any(np.delete(amps, np.s_[lo - j0 : hi - j0]))
+        assert np.array_equal(ens.states[i], row)
 
 
 def test_distribution_grid_and_positivity(toy_run):
@@ -325,7 +344,9 @@ def test_off_detector_weight_matches_full_width_svd(toy_run):
     kernel, j0 = passage._stage2_kernel(cfg, passage._nonzero_span(states), cfg.dt2)
     on = slice(j0, j0 + len(kernel.kin))
     assert on.start <= np.flatnonzero(upstream)[0] - 5e-6 / cfg.grid.dx
-    assert np.sum(np.abs(rows[:, on]) ** 2) >= (1.0 - 1e-24) * np.sum(np.abs(rows) ** 2)
+    off = np.ones(rows.shape[1], dtype=bool)
+    off[on] = False
+    assert np.sum(np.abs(rows[:, off]) ** 2) <= 1e-24 * np.sum(np.abs(rows) ** 2)
     n_steps = int(round(dist.tau[-1] / cfg.dt2))
     _, w1rows, _, _ = propagator._evolve_rows(kernel, rows[:, on], n_steps, cfg.tau_stride)
     g_ref = np.sum(w1rows, axis=0)
@@ -352,7 +373,7 @@ def test_stage2_box_on_the_reference_grid(particle):
     kernel, j0 = passage._stage2_kernel(cfg, _detector1_cols(cfg), 2e-5)
     m = len(kernel.kin)
     assert (m, j0) == (5400, 890)
-    assert all(passage._five_smooth(n) == (n == 5400) for n in range(5345, 5401))
+    assert all(_five_smooth(n) == (n == 5400) for n in range(5345, 5401))
     assert kernel.dx == pytest.approx(dx, rel=1e-12)
     assert grid.x[j0] <= -5e-6 < grid.x[j0] + dx
     on2 = np.flatnonzero(cfg.detector2.profile.chi(grid)) - j0
@@ -366,22 +387,24 @@ def test_stage2_box_on_the_reference_grid(particle):
     assert np.max(rate) == pytest.approx(1.0e5, rel=5e-3)
 
 
-def test_stage2_box_is_the_grid_or_raises_without_room(toy_particle, toy_packet):
-    tight = toy_config(toy_particle, toy_packet, grid=pl.build_grid(14e-6, 146e-6, 1350))
-    kernel, j0 = passage._stage2_kernel(tight, _detector1_cols(tight), tight.dt)
-    assert (len(kernel.kin), j0) == (tight.grid.n_points, 0)
-    short = toy_config(toy_particle, toy_packet, grid=pl.build_grid(-40e-6, 140e-6, 2048))
-    with pytest.raises(pl.ConfigError, match="absorbing layer.*grid ends at 0.00014 m"):
-        passage._stage2_kernel(short, _detector1_cols(short), short.dt)
-
-
-def test_stage2_box_margin_stops_at_the_grids_first_point(toy_particle, toy_packet):
-    # the grid starts 2 um left of detector 1, inside the 5 um margin: the box
-    # takes the grid's first 1 077 points (to the layer's end), rounded up to
-    # 1 080, not a length counted from 26 points left of the grid (1 125)
-    cfg = toy_config(toy_particle, toy_packet, grid=pl.build_grid(18e-6, 260e-6, 2048))
+@pytest.mark.parametrize("shift, n", [(0, 1728), (600, 1200)])
+def test_stage2_box_reaches_past_the_grid(toy_particle, toy_packet, shift, n):
+    # grids at the toy's dx, their points the toy grid's from `shift` on, that
+    # hold both detectors but not stage 2's box (about 15 um to 145 um): the
+    # box reaches past the grid's right end, and with shift = 600 (18.6 um)
+    # past its left end too, and it is the toy grid's box, offset by shift
+    base = toy_config(toy_particle, toy_packet)
+    dx = base.grid.dx
+    x0 = base.grid.x_min + shift * dx
+    cfg = toy_config(toy_particle, toy_packet, grid=pl.build_grid(x0, x0 + n * dx, n))
     kernel, j0 = passage._stage2_kernel(cfg, _detector1_cols(cfg), cfg.dt)
-    assert (len(kernel.kin), j0) == (1080, 0)
+    want, w0 = passage._stage2_kernel(base, _detector1_cols(base), base.dt)
+    m = len(kernel.kin)
+    assert j0 + m > n and (j0 < 0) == (shift == 600)
+    assert (m, j0 + shift) == (len(want.kin), w0)
+    assert kernel.support == want.support and kernel.detected == want.detected
+    assert np.array_equal(kernel.decay, want.decay)
+    assert kernel.dx == pytest.approx(dx, rel=1e-12)
 
 
 _SMOOTH = [k for k in range(2, 8193) if _five_smooth(k)]
@@ -392,25 +415,24 @@ _SMOOTH = [k for k in range(2, 8193) if _five_smooth(k)]
 @example(n=1024, j0=-40, m=512)
 @example(n=2048, j0=1500, m=1024)
 @example(n=8192, j0=890, m=5345)
-def test_grid_run_is_the_smallest_five_smooth_run_inside_the_grid(n, j0, m):
+def test_grid_run_is_the_smallest_five_smooth_run_from_its_first_point(n, j0, m):
     grid = pl.build_grid(-1e-6, 1e-6, n)
-    run, j1 = passage._grid_run(grid, j0, m)
+    run = passage._grid_run(grid, j0, m)
     size = run.n_points
     # the smallest length from m up with no prime factor above 5; a power of
     # two keeps its length, so the arrival boxes' sizes stay as they are
     want = next(k for k in range(m, 2 * m + 1) if _five_smooth(k))
     if m & (m - 1) == 0:
         assert want == m
-    if want >= n:
-        assert run is grid and j1 == 0
-        return
     assert size == want
-    # inside the grid, clamped at both ends, holding every requested index
-    # the grid has
-    assert j1 == min(max(j0, 0), n - size)
-    assert max(j0, 0) >= j1 and min(j0 + m, n) <= j1 + size
-    assert run.dx == pytest.approx(grid.dx, rel=1e-12)
-    assert np.allclose(run.x, grid.x[j1 : j1 + size], rtol=0.0, atol=1e-9 * grid.dx)
+    # its points are the grid's points j0 .. j0 + size - 1, continued at the
+    # grid's dx past either end of the grid
+    dx = grid.dx
+    assert run.dx == pytest.approx(dx, rel=1e-12)
+    assert np.allclose(run.x, grid.x_min + (j0 + np.arange(size)) * dx, rtol=0.0, atol=1e-9 * dx)
+    lo, hi = max(j0, 0), min(j0 + size, n)
+    if lo < hi:
+        assert np.allclose(run.x[lo - j0 : hi - j0], grid.x[lo:hi], rtol=0.0, atol=1e-9 * dx)
 
 
 def test_probability_closes_with_the_boundary_loss(toy_run):
@@ -781,7 +803,8 @@ def _run(cfg):
 
 
 def _box_offset(cfg):
-    """(box, j0): the grid detector 1's pass ran on and its offset in cfg.grid."""
+    """(box, j0): the box detector 1's pass ran on and its first point's index
+    among cfg.grid's points."""
     kernel, psi0, _, support = passage._detector1_start(cfg)
     return psi0.grid, support.start - kernel.support.start
 
@@ -872,14 +895,31 @@ def test_whole_cell_shift_moves_the_box_by_as_many_cells(
     assert np.max(np.abs(dist.g_tau - base.g_tau)) <= 1e-12 * np.max(base.g_tau)
 
 
-def test_pass_runs_on_the_grid_when_the_path_exceeds_half_of_it(toy_run):
-    # the toy's path spans more than 1024 of its 2048 points: no box, and the
-    # record has the bits of evolve_conditional on the grid
+@pytest.mark.parametrize("shift, n", [(512, 1200), (0, 1728), (-2048, 6144)])
+def test_g_does_not_depend_on_the_grids_extent(toy_particle, toy_packet, shift, n):
+    # grids at the toy's dx whose points are the toy grid's from `shift` on:
+    # [10, 127.19] um and [-40, 128.75] um, which the boxes reach past, and
+    # [-240, 360] um. With tau_max given, only dx and the points enter G;
+    # measured: 1.6e-14, 5.6e-15 and 4.2e-15 of its peak
+    base = toy_config(toy_particle, toy_packet, tau_max=3.6e-3, dt2=1e-6)
+    dx = base.grid.dx
+    x0 = base.grid.x_min + shift * dx
+    _, _, want = _run(base)
+    _, _, got = _run(replace(base, grid=pl.build_grid(x0, x0 + n * dx, n)))
+    assert np.array_equal(got.tau, want.tau)
+    assert got.stage2_grid_points == want.stage2_grid_points
+    assert np.max(np.abs(got.g_tau - want.g_tau)) <= 1e-13 * np.max(want.g_tau)
+
+
+def test_pass_box_reaches_past_the_grid_when_the_path_exceeds_half_of_it(toy_run):
+    # the toy's path spans more than 1024 of its 2048 points: its box has 2048
+    # points from the grid's point -212, 20.7 um left of the grid, and the
+    # record has the bits of evolve_conditional on that box
     cfg, record = toy_run["cfg"], toy_run["record"]
     box, j0 = _box_offset(cfg)
-    assert (box, j0) == (cfg.grid, 0)
-    psi0 = pl.gaussian_free_state(cfg.packet, cfg.particle, record.times[0], cfg.grid)
-    pot = cfg.detector1.potential_field(cfg.grid)
+    assert (box.n_points, j0) == (2048, -212)
+    psi0 = pl.gaussian_free_state(cfg.packet, cfg.particle, record.times[0], box)
+    pot = cfg.detector1.potential_field(box)
     _, full = pl.evolve_conditional(psi0, pot, cfg.particle, record.times[-1], cfg.dt)
     for name in ("times", "survival_p0", "density_w1", "cumulative_detected"):
         assert getattr(record, name).tobytes() == getattr(full, name).tobytes()

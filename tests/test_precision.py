@@ -9,6 +9,7 @@ import pytest
 
 import passagelab as pl
 from passagelab import passage, precision, propagator
+from passagelab.core import _five_smooth
 from passagelab.exceptions import ConfigError, ConvergenceError
 
 from conftest import toy_config
@@ -193,9 +194,12 @@ def test_sweep_point_config_geometry(cesium):
     ):
         frac = (edge - cfg.grid.x_min) / dx
         assert abs(frac - round(frac)) < 1e-6
-    assert cfg.grid.x_min < -6.0 * plan.delta_x_opt
-    assert cfg.grid.x_max > cfg.detector2.profile.b
-    assert cfg.grid.n_points >= 1024
+    # the grid is [0, n dx], n the smallest 5-smooth number of cells that
+    # holds both detectors; each stage's box reaches past it as it needs
+    cells = round(cfg.detector2.profile.b / dx)
+    assert cfg.grid.x_min == 0.0
+    assert cfg.grid.x_max >= cfg.detector2.profile.b
+    assert cfg.grid.n_points == next(k for k in range(cells, 2 * cells) if _five_smooth(k))
     assert cfg.tau_max > CES_D / CES_V0
     assert cfg.dt2 == plan.delta_tau_opt / 56.0
     assert cfg.dt == cfg.dt2 / 10.0
