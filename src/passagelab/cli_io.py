@@ -290,7 +290,7 @@ def _summary(out_dir: Path, name: str, conf: dict, payload: dict, warned: list[s
 
 def _cmd_arrival(conf: dict, out: Path, args: argparse.Namespace) -> dict:
     cfg = build_experiment(conf)
-    record, _, _ = _arrival_pass(cfg)  # the record alone
+    record = _arrival_pass(cfg)[0]  # the record alone
     _write_csv(
         out / "arrival.csv",
         ["t_seconds", "w1_per_second"],

@@ -142,6 +142,8 @@ class DetectorSpec:
             raise ConfigError(f"detector profile must be a RectangularProfile, got {name}")
         if not 0.0 <= self.decay_a < np.inf:
             raise ConfigError(f"decay_a must be >= 0 and finite, got {self.decay_a}")
+        if not np.isfinite(self.shift):
+            raise ConfigError(f"shift must be finite, got {self.shift}")
 
     def potential_field(self, grid: SpatialGrid) -> ComplexPotentialField:
         chi = self.profile.chi(grid)

@@ -150,6 +150,8 @@ class ExperimentConfig:
                     f"{name} [{p.a:.6g}, {p.b:.6g}] m must lie within the grid "
                     f"[{g.x_min:.6g}, {g.x_max:.6g}] m"
                 )
+        if self.dt is None:
+            raise ConfigError("dt must be positive and finite, got None")
         for name in ("dt", "dt2", "tau_max"):
             if getattr(self, name) is not None:
                 _check_positive(**{name: getattr(self, name)})
@@ -305,28 +307,28 @@ def _detector1_window(cfg: ExperimentConfig) -> tuple[float, float]:
     return t_start, t_end
 
 
-def _detector1_start(
-    cfg: ExperimentConfig,
-) -> tuple[_Kernel, WaveFunction, int, slice]:
-    """Validate detector 1's window and set up its pass: the step kernel and
-    start state on the pass's grid, the number of steps that cross the
-    window, and the kernel's support in cfg.grid's indices.
+def _arrival_pass(
+    cfg: ExperimentConfig, hold: bool = False
+) -> tuple[DetectionRecord, np.ndarray, slice, _Kernel, WaveFunction]:
+    """Set up detector 1's pass, propagate the packet across its window once
+    and check that it detected enough.
+
+    Returns the w1 record, the held conditional states (n_steps + 1, 1, n_held),
+    detector 1's decay support in cfg.grid's indices (n_held is its length
+    with hold, else 0), and the pass's step kernel and start state. Raises
+    NoDetectionError at A = 0, for a window shorter than one step or when
+    nothing was detected, and warns when less than _MIN_DETECTION was.
 
     The pass runs on `_arrival_box`'s box, which holds detector 1 and the
     packet's path out to 8 spreading widths (2048 points on the reference
     grid, 512 at the 3 mm/s sweep point) and may reach past the grid's ends,
     with dx and dt kept. Detector 1, evaluated on the box, has the grid's
-    points shifted by j0, so its support maps back onto the grid. The packet
-    is periodic on the box instead of the grid; against the full reference
-    grid this moves the reset states by at most 1.8e-8 of their largest
-    amplitude, G by 2.3e-9 of its peak and std(G) by 4.1e-11 relative at the
-    reference rates, and leaves the entry times' bits and the kept ranks as
-    they are.
+    points shifted by j0, so its support maps back onto the grid.
     """
     det1 = cfg.detector1
     if det1.decay_a == 0.0:
         raise NoDetectionError("detector 1 has A = 0: no detection")
-    particle, packet = cfg.particle, cfg.packet
+    particle = cfg.particle
     t_start, t_end = _detector1_window(cfg)
     n_steps = int(round((t_end - t_start) / cfg.dt))
     if n_steps < 1:
@@ -336,26 +338,8 @@ def _detector1_start(
     box, j0 = _arrival_box(cfg, t_start, t_end)
     kernel = _kernel(box, particle, det1.potential_field(box), cfg.dt)
     support = slice(kernel.support.start + j0, kernel.support.stop + j0)
-    return kernel, gaussian_free_state(packet, particle, t_start, box), n_steps, support
-
-
-def _arrival_pass(
-    cfg: ExperimentConfig, hold: bool = False
-) -> tuple[DetectionRecord, np.ndarray, slice]:
-    """Propagate the packet across detector 1's window once.
-
-    Returns the w1 record, the held conditional states (n_steps + 1, 1, n_held)
-    and detector 1's decay support in cfg.grid's indices; n_held is the
-    support's length with hold, else 0.
-    """
-    kernel, psi0, n_steps, support = _detector1_start(cfg)
+    psi0 = gaussian_free_state(cfg.packet, particle, t_start, box)
     _, record, held = _conditional(kernel, psi0, n_steps, cfg.dt, hold)
-    _check_detection(record)
-    return record, held, support
-
-
-def _check_detection(record: DetectionRecord) -> None:
-    """Raise when detector 1's pass detected nothing, warn when too little."""
     p_detected = float(record.cumulative_detected[-1])
     if p_detected <= 0.0:
         raise NoDetectionError("detector 1 accumulated no detection probability")
@@ -364,8 +348,9 @@ def _check_detection(record: DetectionRecord) -> None:
             f"detector-1 detection probability {p_detected:.3f} < {_MIN_DETECTION}; "
             f"leakage {float(record.survival_p0[-1]):.3f} is not negligible",
             RegimeWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
+    return record, held, support, kernel, psi0
 
 
 def _entry_steps(cfg: ExperimentConfig, record: DetectionRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -378,14 +363,15 @@ def _entry_steps(cfg: ExperimentConfig, record: DetectionRecord) -> tuple[np.nda
     idx = idx[(idx > 0) & (idx <= len(times) - 1)]
     if len(idx) < 2:
         raise NoDetectionError("entry grid collapsed to fewer than two times")
-    return idx, times[0] + idx * cfg.dt
+    return idx, times[idx]
 
 
 def _reset_states(cfg: ExperimentConfig, support: slice, held: np.ndarray) -> np.ndarray:
     """Reset states sqrt(A) chi psi_cond from held (rows, n_support) slices of
-    the conditional state on detector 1's decay support; zero off it."""
+    the conditional state on detector 1's decay support, where chi is 1;
+    zero off it."""
     states = np.zeros((len(held), cfg.grid.n_points), dtype=complex)
-    states[:, support] = cfg.detector1.reset_factor(cfg.grid)[support] * held
+    states[:, support] = np.sqrt(cfg.detector1.decay_a) * held
     return states
 
 
@@ -394,9 +380,7 @@ def _reset_row(cfg: ExperimentConfig, at_time: float | None) -> tuple[float, np.
     w1 peak), propagated alone to T's step from the arrival pass's start state,
     with the pass's own kernel. Its closed final state has the bits of the
     ensemble's row at T."""
-    kernel, psi0, n_steps, support = _detector1_start(cfg)
-    _, record, _ = _conditional(kernel, psi0, n_steps, cfg.dt)
-    _check_detection(record)
+    record, _, support, kernel, psi0 = _arrival_pass(cfg)
     steps, entry_times = _entry_steps(cfg, record)
     want = peak_time(record) if at_time is None else at_time
     i = int(np.argmin(np.abs(entry_times - want)))
@@ -413,19 +397,18 @@ def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble
     support, where sqrt(A) chi is non-zero, at every step; the reset states
     are built from the held slices at the entry grid's steps, which sit on
     detection-probability quantiles of the record. The pass runs on the box
-    `_detector1_start` picks (2048 of the 8192 reference points), and the
+    `_arrival_pass` picks (2048 of the 8192 reference points), and the
     states are put back on cfg.grid, zero off the support. The held stack,
     dropped before the states are allocated, costs n_steps x n_support x 16 B:
     54.6 MB at dt = 1e-6 on the reference grid (712 of 8192 points on
     detector 1), 27.8 MB at the 3 mm/s sweep point, growing as 1/dt. The box
-    leaves it as it is. It pays off only when
-    every row is needed: a caller that needs the record alone runs
-    `_arrival_pass` without hold, and one that needs a single row takes it
-    from `_reset_row`, which picks its step with `_entry_steps`, holds no
-    stack and builds no ensemble.
+    leaves it as it is. It pays off only when every row is needed: a caller
+    that needs the record alone runs `_arrival_pass` without hold, and one
+    that needs a single row takes it from `_reset_row`, which picks its step
+    with `_entry_steps`, holds no stack and builds no ensemble.
     """
-    record, held, support = _arrival_pass(cfg, hold=True)
-    times, cum = record.times, record.cumulative_detected
+    record, held, support, _, _ = _arrival_pass(cfg, hold=True)
+    cum = record.cumulative_detected
     p_detected = float(cum[-1])
     idx, t_entry = _entry_steps(cfg, record)
     rows = held[idx, 0]
@@ -439,9 +422,7 @@ def arrival_stage(cfg: ExperimentConfig) -> tuple[DetectionRecord, ResetEnsemble
     # rescale the coarse trapezoid to the dt-resolved mass over the same
     # window, so a sparse entry grid cannot inflate the captured probability
     coarse = float(np.sum(weights * norms_sq))
-    dense = float(
-        np.interp(t_entry[-1], times, cum) - np.interp(t_entry[0], times, cum)
-    )
+    dense = float(cum[idx[-1]] - cum[idx[0]])
     if coarse > 0.0 and dense > 0.0:
         weights *= dense / coarse
     captured = float(np.sum(weights * norms_sq))
@@ -562,11 +543,7 @@ def passage_distribution(
     basis = np.zeros((int(np.count_nonzero(keep)), len(kernel.kin)), dtype=complex)
     basis[:, span.start - j0 : span.stop - j0] = svals[keep, None] * vrows[keep]
     steps, w1rows, lostrows, final = _evolve_rows(kernel, basis, n_steps, cfg.tau_stride)
-    # each row's norm^2, squared in place, then their sum over the rows; the
-    # rows are freed before G's arrays are made, which lowers the memory peak
-    dens = np.abs(final)
-    residual_2 = float(np.sum(np.sum(np.square(dens, out=dens), axis=-1) * kernel.dx))
-    del final, dens
+    residual_2 = float(np.sum(np.sum(np.abs(final) ** 2, axis=-1) * kernel.dx))
     tau = steps * dt2
     g_tau = np.sum(w1rows, axis=0)
     boundary_loss = float(np.trapezoid(np.sum(lostrows, axis=0), tau))

@@ -193,11 +193,11 @@ def convergence_probe(
     only the refined pass runs. The probe's own passes are record-only.
     """
     if record is None:
-        record, _, _ = _arrival_pass(cfg)
+        record = _arrival_pass(cfg)[0]
     _, m1, s1 = _moments(record.times, record.density_w1)
     g = cfg.grid
     fine = replace(cfg, grid=build_grid(g.x_min, g.x_max, 2 * g.n_points), dt=cfg.dt / 2.0)
-    record, _, _ = _arrival_pass(fine)
+    record = _arrival_pass(fine)[0]
     _, m2, s2 = _moments(record.times, record.density_w1)
     drift_mean = abs(m2 - m1) / s1
     drift_std = abs(s2 - s1) / s1

@@ -119,9 +119,8 @@ def _in_order(run, chunks):
     """[run(chunk) for chunk in chunks], one task per chunk on the shared
     pool, or in the calling thread for one chunk.
 
-    No task waits on another, so callers may share the pool. A failed chunk
-    cancels the queued ones and waits for the running ones before its error
-    propagates.
+    No task waits on another. A failed chunk cancels the queued ones and
+    waits for the running ones before its error propagates.
     """
     if len(chunks) == 1:
         return [run(chunks[0])]

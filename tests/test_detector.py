@@ -30,11 +30,17 @@ def test_rectangular_profile_validation():
         pl.RectangularProfile(4e-6, 2e-6)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-def test_detector_rejects_bad_decay_rate(bad):
-    # NaN < 0 is False, so a NaN rate used to construct
-    with pytest.raises(pl.ConfigError, match=f"^decay_a must be >= 0 and finite, got {bad}$"):
-        pl.DetectorSpec(profile=pl.RectangularProfile(0.0, 20e-6), decay_a=bad)
+@pytest.mark.parametrize(
+    "field, bad, rule",
+    [pytest.param("decay_a", bad, ">= 0 and finite", id=str(bad)) for bad in (np.nan, np.inf, -1.0)]
+    + [pytest.param("shift", bad, "finite", id=f"shift-{bad}") for bad in (np.nan, np.inf, -np.inf)],
+)
+def test_detector_rejects_bad_decay_rate(field, bad, rule):
+    # NaN < 0 is False, so a NaN rate used to construct; a non-finite shift
+    # used to construct too and fail only when a potential was built from it
+    kw = {"decay_a": 2e4, field: bad}
+    with pytest.raises(pl.ConfigError, match=f"^{field} must be {rule}, got {bad}$"):
+        pl.DetectorSpec(profile=pl.RectangularProfile(0.0, 20e-6), **kw)
 
 
 def test_continuum_rates_closed_forms():

@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, the submodules agree,
 and the names, config keys and settings a user can reach are pinned."""
+import ast
 import dataclasses
 import importlib
 import pkgutil
@@ -108,3 +109,30 @@ def test_no_setting_comes_from_the_environment():
         p.name for p in sources if re.search(r"os\.environ|os\.getenv|getenv\(", p.read_text())
     ]
     assert readers == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names path imports (star and __future__ imports aside) that it neither
+    uses nor lists in its __all__."""
+    tree = ast.parse(path.read_text())
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(
+                c.value for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            )
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", sorted(Path(pl.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []

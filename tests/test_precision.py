@@ -347,7 +347,7 @@ def test_convergence_probe_memory_below_half_the_held_stack(toy_particle, toy_pa
     cfg = toy_config(toy_particle, toy_packet)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pl.RegimeWarning)
-        record, _, support = passage._arrival_pass(cfg)
+        record, _, support, _, _ = passage._arrival_pass(cfg)
         stack = (len(record.times) - 1) * (support.stop - support.start) * 16
         tracemalloc.start()
         try:
